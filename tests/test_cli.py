@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +38,28 @@ class TestValuesCommand:
         limit = json.loads(read(out / "limit.json"))
         assert limit["value"]["play"] == pytest.approx(0.5, abs=1e-5)
         assert limit["dispersion"] <= 1e-6
+
+    def test_limit_json_reuses_the_grid_solves(self, tmp_path, monkeypatch):
+        import stochgame.cli as cli
+        import stochgame.shapley as shapley
+        from stochgame import big_match, limit_value_estimate
+
+        calls = []
+        solve = shapley.discounted_value
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "discounted_value", counted)
+        monkeypatch.setattr(shapley, "discounted_value", counted)
+        out = tmp_path / "run"
+        assert main(["values", "--corpus", "big_match", "--lambda-grid", "1e-1,1e-2,1e-3", "--out", str(out)]) == 0
+        assert calls == [1e-1, 1e-2, 1e-3]
+        estimate = limit_value_estimate(big_match().game, [1e-1, 1e-2, 1e-3])
+        limit = json.loads(read(out / "limit.json"))
+        assert limit["dispersion"] == estimate.dispersion
+        assert list(limit["value"].values()) == list(estimate.value)
 
     def test_n_grid_against_game_file(self, tmp_path, games_dir):
         out = tmp_path / "run"
@@ -262,22 +283,6 @@ class TestReproducibility:
         assert manifest["command"] == "values"
         assert manifest["config"]["lambda_grid"] == [0.5]
         assert manifest["package_version"]
-
-
-class TestProcessPool:
-    def test_worker_pool_matches_serial(self, tmp_path):
-        serial, pooled = tmp_path / "serial", tmp_path / "pooled"
-        argv = ["values", "--corpus", "two_state_cycle", "--lambda-grid", "0.5,0.25,0.125"]
-        assert main(argv + ["--out", str(serial)]) == 0
-        env = dict(os.environ, STOCHGAME_WORKERS="2")
-        proc = subprocess.run(
-            [sys.executable, "-m", "stochgame.cli"] + argv + ["--out", str(pooled)],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert read(serial / "values.csv") == read(pooled / "values.csv")
 
 
 class TestEntryPoint:

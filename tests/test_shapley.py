@@ -21,7 +21,14 @@ from oracles import (
     mdp_discounted_value_iteration,
     mdp_finite_values,
     mdp_policy_enumeration_discounted,
+    support_enumeration_solve,
 )
+
+
+def scaled(game, factor):
+    return StochasticGame(
+        game.states, game.actions1, game.actions2, factor * game.payoff, game.transition
+    )
 
 
 def constant_game(value, num_states=2):
@@ -163,6 +170,54 @@ class TestDiscountedValue:
         for bad in (0.0, -0.1, 1.1):
             with pytest.raises(InputError):
                 discounted_value(game, bad)
+
+
+class TestSmallDiscounts:
+    def test_big_match_against_bisection(self):
+        game = big_match().game
+        for discount in (1e-4, 1e-6):
+            sol = discounted_value(game, discount, tol=1e-8)
+            assert sol.value[0] == pytest.approx(bisection_big_match_discounted(discount), abs=1e-8)
+            assert sol.residual <= 1e-8 * discount
+
+    def test_iteration_count_does_not_depend_on_discount(self):
+        # 3 Shapley applications and 2 policy evaluations at every discount
+        game = big_match().game
+        assert discounted_value(game, 1e-1).iterations == 5
+        assert discounted_value(game, 1e-4).iterations == 5
+
+    def test_iterations_stay_small_down_to_1e6(self):
+        for game in (big_match().game, random_game(3, 2, 2, seed=11).game, random_game(5, 3, 3, seed=1).game):
+            for discount in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+                assert discounted_value(game, discount, tol=1e-8).iterations <= 50
+
+    def test_profile_solves_local_games_at_the_value(self):
+        game = random_game(5, 3, 3, seed=1).game
+        sol = discounted_value(game, 1e-4, tol=1e-8)
+        local = local_game_tensor(game, 1e-4, sol.value)
+        for s in range(game.num_states):
+            value, _, _ = support_enumeration_solve(local[s])
+            assert value == pytest.approx(sol.value[s], abs=1e-11)
+            assert (sol.x.probs[s] @ local[s]).min() >= value - 1e-11
+            assert (local[s] @ sol.y.probs[s]).max() <= value + 1e-11
+
+    def test_target_below_rounding_fails_fast(self):
+        # tol * discount = 1e-18 cannot be certified in double precision; the
+        # iteration cycles and must say so instead of running to its cap
+        game = random_game(3, 2, 2, seed=11).game
+        with pytest.raises(ConvergenceError) as info:
+            discounted_value(game, 1e-6, tol=1e-12, max_iterations=1000)
+        assert info.value.residual > 1e-18
+        assert info.value.iterations < 1000
+
+    @pytest.mark.parametrize("factor", [1e-3, 1e3])
+    def test_payoff_scale_equivariance(self, factor):
+        tol = 1e-8
+        for game in (random_game(3, 2, 2, seed=11).game, random_game(5, 3, 3, seed=1).game):
+            for discount in (1e-1, 1e-4):
+                base = discounted_value(game, discount, tol=tol).value
+                got = discounted_value(scaled(game, factor), discount, tol=tol * factor).value
+                np.testing.assert_allclose(got / factor, base, rtol=0, atol=tol)
 
 
 class TestFiniteValue:
