@@ -138,21 +138,24 @@ def adapted_profile(
     game: StochasticGame,
     horizon: int,
     block_length: int | None = None,
-    tol: float = 1e-8,
+    tol: float | None = None,
     provider: DiscountedProfileProvider | None = None,
 ) -> AdaptedProfile:
     """Build the block-discounted profile for ``horizon`` stages.
 
-    Performs exactly one discounted solve per block discount; the strategies
+    Performs at most one discounted solve per block discount; the strategies
     are assembled block-constant, so the profile costs O(number of blocks)
-    memory regardless of the horizon.  Identical inputs (including ``tol``)
-    produce bit-identical profiles.
+    memory regardless of the horizon.  ``tol`` defaults to the provider's,
+    else 1e-8; one that differs from ``provider.tol`` raises InputError.
+    Identical inputs (including ``tol``) produce bit-identical profiles.
     """
     if block_length is None:
         block_length = default_block_length(horizon)
     schedule = block_schedule(horizon, block_length)
     if provider is None:
-        provider = DiscountedProfileProvider(game, tol)
+        provider = DiscountedProfileProvider(game, 1e-8 if tol is None else tol)
+    elif tol is not None and float(tol) != provider.tol:
+        raise InputError(f"tol {tol!r} differs from the provider's tol {provider.tol!r}")
     segments_x: list[tuple[int, StationaryStrategy]] = []
     segments_y: list[tuple[int, StationaryStrategy]] = []
     for block, discount in enumerate(schedule.discounts):

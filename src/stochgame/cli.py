@@ -41,12 +41,7 @@ from .evaluation import (
     value_drift_diagnostic,
 )
 from .game import load_game_file, save_game_file
-from .shapley import (
-    discounted_value,
-    finite_values,
-    limit_value_estimate,
-    limit_value_from_solutions,
-)
+from .shapley import discounted_value, finite_values, limit_value_from_solutions
 
 _CSV_SCHEMA = "stochgame-csv v1"
 _MANIFEST_SCHEMA = "stochgame-manifest v1"
@@ -197,9 +192,10 @@ def _cmd_values(config: dict, out_dir: Path) -> None:
 
 def _cmd_adapted(config: dict, out_dir: Path) -> None:
     game = _load_config_game(config)
+    provider = DiscountedProfileProvider(game, config["tol"])
     rows: list[list] = []
     for n in config["n_grid"]:
-        profile = adapted_profile(game, n, _pick_block_length(config, n), tol=config["tol"])
+        profile = adapted_profile(game, n, _pick_block_length(config, n), provider=provider)
         epsilon = certify_epsilon_optimality(game, profile, n)
         rows.append([n, profile.schedule.block_length, profile.schedule.num_blocks, float(epsilon)])
     _write_table(out_dir, "adapted", "adapted", config["format"], ["n", "a", "p", "epsilon"], rows)
@@ -208,8 +204,8 @@ def _cmd_adapted(config: dict, out_dir: Path) -> None:
 def _cmd_curve(config: dict, out_dir: Path) -> None:
     game = _load_config_game(config)
     start = config.get("omega") or game.states[0]
-    estimate = limit_value_estimate(game, config["vstar_grid"], config["tol"])
     provider = DiscountedProfileProvider(game, config["tol"])
+    estimate = limit_value_from_solutions([provider.solution(d) for d in config["vstar_grid"]])
     rows: list[list] = []
     summary = {
         "initial_state": start,
@@ -218,7 +214,7 @@ def _cmd_curve(config: dict, out_dir: Path) -> None:
         "sup_deviation": {},
     }
     for n in config["n_grid"]:
-        profile = adapted_profile(game, n, _pick_block_length(config, n), tol=config["tol"], provider=provider)
+        profile = adapted_profile(game, n, _pick_block_length(config, n), provider=provider)
         curve = constant_payoff_curve(game, profile, start, n, config["t_grid"], estimate.value)
         for t, cum, target, dev in zip(curve.t_grid, curve.cumulative, curve.targets, curve.deviations):
             rows.append([n, t, cum, target, dev])
@@ -249,8 +245,9 @@ def _cmd_certify(config: dict, out_dir: Path) -> None:
     game = _load_config_game(config)
     start = config.get("omega") or game.states[0]
     n = config["n"]
-    estimate = limit_value_estimate(game, config["vstar_grid"], config["tol"])
-    profile = adapted_profile(game, n, _pick_block_length(config, n), tol=config["tol"])
+    provider = DiscountedProfileProvider(game, config["tol"])
+    estimate = limit_value_from_solutions([provider.solution(d) for d in config["vstar_grid"]])
+    profile = adapted_profile(game, n, _pick_block_length(config, n), provider=provider)
     epsilon = certify_epsilon_optimality(game, profile, n)
     curve = constant_payoff_curve(game, profile, start, n, config["t_grid"], estimate.value)
     drift = value_drift_diagnostic(game, profile, start, n, config["t_grid"], estimate.value)
@@ -324,6 +321,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+def _add_curve_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags shared by ``curve`` and ``certify``; :func:`_curve_config` reads them."""
+    parser.add_argument("--t-grid", default=_DEFAULT_T_GRID)
+    parser.add_argument("--a", default="auto")
+    parser.add_argument("--mu-file")
+    parser.add_argument("--omega", help="initial state label (default: first state)")
+    parser.add_argument("--vstar-grid", default=_DEFAULT_VSTAR_GRID)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="stochgame", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -349,22 +355,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_game_source(p)
     p.add_argument("--n", type=int)
     p.add_argument("--n-grid")
-    p.add_argument("--t-grid", default=_DEFAULT_T_GRID)
-    p.add_argument("--a", default="auto")
-    p.add_argument("--mu-file")
-    p.add_argument("--omega", help="initial state label (default: first state)")
-    p.add_argument("--vstar-grid", default=_DEFAULT_VSTAR_GRID)
+    _add_curve_flags(p)
     p.add_argument("--discounted-grid", help="also emit the discounted analogue on this grid")
     _add_common(p)
 
     p = sub.add_parser("certify", help="one-horizon certification report")
     _add_game_source(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t-grid", default=_DEFAULT_T_GRID)
-    p.add_argument("--a", default="auto")
-    p.add_argument("--mu-file")
-    p.add_argument("--omega")
-    p.add_argument("--vstar-grid", default=_DEFAULT_VSTAR_GRID)
+    _add_curve_flags(p)
     _add_common(p)
 
     p = sub.add_parser("gen", help="emit a seeded random game")
@@ -394,6 +392,14 @@ def _int_grid(args, what: str) -> list[int]:
     return grid
 
 
+def _curve_config(args: argparse.Namespace, config: dict) -> None:
+    config["t_grid"] = _parse_grid(args.t_grid, float, "--t-grid")
+    config["a"] = args.a if args.a == "auto" else int(args.a)
+    config["mu_file"] = args.mu_file
+    config["omega"] = args.omega
+    config["vstar_grid"] = _parse_grid(args.vstar_grid, float, "--vstar-grid")
+
+
 def _config_from_args(args: argparse.Namespace) -> dict:
     command = args.command
     config: dict = {"format": getattr(args, "format", "csv")}
@@ -420,20 +426,12 @@ def _config_from_args(args: argparse.Namespace) -> dict:
         config["mu_file"] = args.mu_file
     elif command == "curve":
         config["n_grid"] = _int_grid(args, "curve")
-        config["t_grid"] = _parse_grid(args.t_grid, float, "--t-grid")
-        config["a"] = args.a if args.a == "auto" else int(args.a)
-        config["mu_file"] = args.mu_file
-        config["omega"] = args.omega
-        config["vstar_grid"] = _parse_grid(args.vstar_grid, float, "--vstar-grid")
+        _curve_config(args, config)
         if args.discounted_grid:
             config["discounted_grid"] = _parse_grid(args.discounted_grid, float, "--discounted-grid")
     elif command == "certify":
         config["n"] = int(args.n)
-        config["t_grid"] = _parse_grid(args.t_grid, float, "--t-grid")
-        config["a"] = args.a if args.a == "auto" else int(args.a)
-        config["mu_file"] = args.mu_file
-        config["omega"] = args.omega
-        config["vstar_grid"] = _parse_grid(args.vstar_grid, float, "--vstar-grid")
+        _curve_config(args, config)
     elif command == "gen":
         config.update(
             states=args.states, actions1=args.actions1, actions2=args.actions2, seed=args.seed

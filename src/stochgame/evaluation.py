@@ -220,16 +220,8 @@ def discounted_cumulative_payoff(
     if not 0.0 < fraction < 1.0:
         raise InputError(f"fraction must lie in (0, 1), got {fraction!r}")
     stages = stages_to_weight(discount, fraction)
-    rewards = profile_stage_payoffs(game, x, y)
-    kernel = profile_transition_matrix(game, x, y)
-    dist = point_mass(game, initial_state)
-    weight = discount
-    total = 0.0
-    for _ in range(stages):
-        total += weight * float(dist @ rewards)
-        dist = dist @ kernel
-        weight *= 1.0 - discount
-    return total
+    weights = discount * (1.0 - discount) ** np.arange(stages)
+    return float(weights @ trajectory(game, x, y, initial_state, stages).stage_payoffs)
 
 
 def expected_value_under_profile(

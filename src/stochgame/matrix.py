@@ -1,17 +1,24 @@
 """Exact solver for one-shot zero-sum matrix games.
 
-The LP route follows the classical normalization: shift the matrix so every
-entry is at least 1 (the shift is removed from the value afterwards), then
-solve the column player's packed program
+The LP route follows the classical normalization, made scale-free: map the
+matrix affinely onto ``(M - min M) / (max M - min M) + 1`` (a span of 1 is
+used when every entry is equal), so the entries lie in [1, 2] whatever the
+payoff scale, then solve the column player's packed program
 
-    max sum(w)  subject to  M w <= 1,  w >= 0
+    max sum(w)  subject to  N w <= 1,  w >= 0
 
-with a dense full-tableau simplex.  The slack basis is feasible from the
-start, so no phase-1 is needed, and Bland's rule (smallest eligible index
-enters, ratio ties broken by smallest basis label) guarantees termination.
-The row player's strategy is read off the optimal dual prices, i.e. the
-reduced costs of the slack columns.  Pivoting is deterministic, so identical
-input produces bit-identical output.
+with a dense full-tableau simplex, and map the value back.  Because the
+normalized entries are bounded, the pivot tolerance is one constant.  The
+slack basis is feasible from the start, so no phase-1 is needed, and Bland's
+rule (smallest eligible index enters, ratio ties broken by smallest basis
+label) guarantees termination.  The row player's strategy is read off the
+optimal dual prices, i.e. the reduced costs of the slack columns.  Pivoting
+is deterministic, so identical input produces bit-identical output.
+
+Every solution carries a certificate computed on the original matrix from
+the returned strategies alone: the larger distance from the value to the
+row strategy's guaranteed floor and to the column strategy's guaranteed
+ceiling.
 
 Matrices here are tiny (a few actions per player), which is why a robust
 dense tableau beats anything asymptotically clever.
@@ -24,7 +31,7 @@ import numpy as np
 
 from .errors import InputError
 
-#: relative scale for reduced-cost and ratio-test thresholds
+#: reduced-cost and ratio-test threshold; normalized entries lie in [1, 2]
 _PIVOT_TOL = 1e-11
 #: hard iteration cap; unreachable with Bland's rule on these sizes
 _MAX_PIVOTS = 100_000
@@ -34,9 +41,10 @@ _MAX_PIVOTS = 100_000
 class MatrixGameSolution:
     """Value plus one optimal mixed strategy per player.
 
-    ``certificate_gap`` is computed from the returned strategies themselves
-    (worst pure-response slack on either side), so the optimality claim can
-    be checked without trusting solver internals.
+    ``certificate_gap`` is computed from the returned strategies themselves:
+    the larger of ``|value - row guarantee|`` and ``|col guarantee - value|``,
+    where each guarantee is the worst pure response to that strategy.  The
+    optimality claim can be checked without trusting solver internals.
     """
 
     value: float
@@ -56,13 +64,12 @@ def _as_matrix(matrix) -> np.ndarray:
 
 
 def _simplex_core(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Solve max sum(w) s.t. M w <= 1, w >= 0 for M with entries >= 1.
+    """Solve max sum(w) s.t. M w <= 1, w >= 0 for M with entries in [1, 2].
 
     Returns (objective, w, dual prices).  Boundedness holds because every
     row of M dominates the all-ones row.
     """
     m, n = M.shape
-    tol = _PIVOT_TOL * max(1.0, float(M.max()))
     tableau = np.zeros((m + 1, n + m + 1))
     tableau[0, :n] = -1.0
     tableau[1:, :n] = M
@@ -72,12 +79,12 @@ def _simplex_core(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 
     for _ in range(_MAX_PIVOTS):
         reduced = tableau[0, :-1]
-        eligible = np.nonzero(reduced < -tol)[0]
+        eligible = np.nonzero(reduced < -_PIVOT_TOL)[0]
         if eligible.size == 0:
             break
         enter = int(eligible[0])  # Bland: smallest variable index enters
         column = tableau[1:, enter]
-        rows = np.nonzero(column > tol)[0]
+        rows = np.nonzero(column > _PIVOT_TOL)[0]
         if rows.size == 0:
             raise ArithmeticError("unbounded matrix-game LP; input was not shifted")
         ratios = tableau[1 + rows, -1] / column[rows]
@@ -103,42 +110,21 @@ def _simplex_core(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 def solve_matrix_game(matrix) -> MatrixGameSolution:
     """Value and one optimal mixed strategy per player, via the simplex LP."""
     M = _as_matrix(matrix)
-    shift = 1.0 - float(M.min())
-    objective, w, duals = _simplex_core(M + shift)
-    value = 1.0 / objective - shift
+    low = float(M.min())
+    span = float(M.max()) - low or 1.0
+    objective, w, duals = _simplex_core((M - low) / span + 1.0)
+    value = low + span * (1.0 / objective - 1.0)
     row_strategy = duals / duals.sum()
     col_strategy = w / w.sum()
     row_guarantee = float((row_strategy @ M).min())
     col_guarantee = float((M @ col_strategy).max())
-    gap = max(0.0, value - row_guarantee, col_guarantee - value)
+    gap = max(abs(value - row_guarantee), abs(col_guarantee - value))
     return MatrixGameSolution(value, row_strategy, col_strategy, gap)
 
 
-def _saddle_value(M: np.ndarray) -> float | None:
-    maxmin = M.min(axis=1).max()
-    minmax = M.max(axis=0).min()
-    if maxmin == minmax:
-        return float(maxmin)
-    return None
-
-
 def value_only(matrix) -> float:
-    """Game value without strategy extraction.
-
-    Fast paths: an exact pure saddle point (valid for any shape) and the
-    2x2 mixed closed form; everything else falls through to the simplex.
-    """
-    M = _as_matrix(matrix)
-    saddle = _saddle_value(M)
-    if saddle is not None:
-        return saddle
-    if M.shape == (2, 2):
-        a, b = M[0]
-        c, d = M[1]
-        denom = a + d - b - c
-        if denom != 0.0:  # always true for a 2x2 with no saddle
-            return (a * d - b * c) / denom
-    return solve_matrix_game(M).value
+    """Game value without strategy extraction: :func:`value_batch` on one matrix."""
+    return float(value_batch(_as_matrix(matrix)[None])[0])
 
 
 def value_batch(tensors: np.ndarray) -> np.ndarray:
@@ -162,9 +148,12 @@ def value_batch(tensors: np.ndarray) -> np.ndarray:
         b = L[:, 0, 1]
         c = L[:, 1, 0]
         d = L[:, 1, 1]
-        denom = a + d - b - c
+        # (ad - bc) / (a + d - b - c) in shift-invariant form: no cancellation
+        # when the entries nearly coincide
+        ab, ac = a - b, a - c
+        denom = ab + (d - c)
         safe = mixed & (denom != 0.0)
-        values[safe] = (a[safe] * d[safe] - b[safe] * c[safe]) / denom[safe]
+        values[safe] = a[safe] - ab[safe] * ac[safe] / denom[safe]
         mixed = mixed & ~safe
     for idx in np.nonzero(mixed)[0]:
         values[idx] = solve_matrix_game(L[idx]).value

@@ -80,8 +80,18 @@ class LimitValueEstimate:
 
 def local_game_tensor(game: StochasticGame, discount: float, continuation: np.ndarray) -> np.ndarray:
     """Per-state one-shot matrices: discount * payoff + (1-discount) * E[continuation]."""
-    cont = game.transition @ continuation
+    shape = game.payoff.shape
+    cont = (game.transition.reshape(-1, shape[0]) @ continuation).reshape(shape)
     return discount * game.payoff + (1.0 - discount) * cont
+
+
+def _solve_local_games(local: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values and optimal row and column strategies of a stack of local games."""
+    solutions = [solve_matrix_game(matrix) for matrix in local]
+    values = np.array([sol.value for sol in solutions])
+    xs = np.array([sol.row_strategy for sol in solutions])
+    ys = np.array([sol.col_strategy for sol in solutions])
+    return values, xs, ys
 
 
 def _check_discount(discount: float, *, allow_one: bool = True) -> float:
@@ -162,13 +172,9 @@ def discounted_value(
     while iterations < cap and v.tobytes() not in seen:
         seen.add(v.tobytes())
         iterations += 1
-        local = local_game_tensor(game, discount, v)
-        solutions = [solve_matrix_game(matrix) for matrix in local]
-        xs = np.array([sol.row_strategy for sol in solutions])
-        applied = np.array([sol.value for sol in solutions])
+        applied, xs, ys = _solve_local_games(local_game_tensor(game, discount, v))
         residual = float(np.abs(applied - v).max())
         if residual <= target:
-            ys = np.array([sol.col_strategy for sol in solutions])
             x, y = StationaryStrategy(xs), StationaryStrategy(ys)
             return DiscountedSolution(discount, v, x, y, residual, iterations)
 
@@ -201,25 +207,34 @@ def discounted_value(
     )
 
 
+def _backward_induction(game: StochasticGame, horizon: int, with_strategies: bool):
+    """The (n, states) table v_1..v_n, plus, if asked, the optimal local
+    strategies of each player indexed by r - 1 for r stages remaining."""
+    if not isinstance(horizon, int) or horizon < 1:
+        raise InputError("horizon must be a positive integer")
+    values = np.empty((horizon, game.num_states))
+    xs_by_remaining: list[StationaryStrategy] = []
+    ys_by_remaining: list[StationaryStrategy] = []
+    v = np.zeros(game.num_states)
+    for r in range(1, horizon + 1):
+        local = local_game_tensor(game, 1.0 / r, v)
+        if with_strategies:
+            v, xs, ys = _solve_local_games(local)
+            xs_by_remaining.append(StationaryStrategy(xs))
+            ys_by_remaining.append(StationaryStrategy(ys))
+        else:
+            v = value_batch(local)
+        values[r - 1] = v
+    return values, xs_by_remaining, ys_by_remaining
+
+
 def finite_values(game: StochasticGame, horizon: int) -> np.ndarray:
     """Values v_1..v_n of the 1..n stage games, shape (n, states).
 
     Value-only backward induction; use :func:`finite_value` when the optimal
     Markov strategies are needed as well.
     """
-    if not isinstance(horizon, int) or horizon < 1:
-        raise InputError("horizon must be a positive integer")
-    ns = game.num_states
-    flat_transition = game.transition.reshape(-1, ns)
-    shape = game.payoff.shape
-    out = np.empty((horizon, ns))
-    v = np.zeros(ns)
-    for r in range(1, horizon + 1):
-        weight = 1.0 / r
-        local = weight * game.payoff + (1.0 - weight) * (flat_transition @ v).reshape(shape)
-        v = value_batch(local)
-        out[r - 1] = v
-    return out
+    return _backward_induction(game, horizon, with_strategies=False)[0]
 
 
 def finite_value(game: StochasticGame, horizon: int) -> FiniteHorizonSolution:
@@ -229,33 +244,13 @@ def finite_value(game: StochasticGame, horizon: int) -> FiniteHorizonSolution:
     local game with r = n - m + 1 remaining stages, i.e. the strategies
     realize the backward-induction solution.
     """
-    if not isinstance(horizon, int) or horizon < 1:
-        raise InputError("horizon must be a positive integer")
-    ns = game.num_states
-    values = np.empty((horizon, ns))
-    x_by_remaining: list[StationaryStrategy] = []
-    y_by_remaining: list[StationaryStrategy] = []
-    v = np.zeros(ns)
-    for r in range(1, horizon + 1):
-        local = local_game_tensor(game, 1.0 / r, v)
-        xs = np.empty((ns, game.num_actions1))
-        ys = np.empty((ns, game.num_actions2))
-        for s in range(ns):
-            sol = solve_matrix_game(local[s])
-            xs[s] = sol.row_strategy
-            ys[s] = sol.col_strategy
-            v[s] = sol.value
-        values[r - 1] = v
-        x_by_remaining.append(StationaryStrategy(xs))
-        y_by_remaining.append(StationaryStrategy(ys))
+    values, xs_by_remaining, ys_by_remaining = _backward_induction(game, horizon, with_strategies=True)
     # stage m plays the solution with n - m + 1 stages remaining
-    x_stages = list(reversed(x_by_remaining))
-    y_stages = list(reversed(y_by_remaining))
     return FiniteHorizonSolution(
         horizon,
         values,
-        MarkovStrategy.from_stages(x_stages),
-        MarkovStrategy.from_stages(y_stages),
+        MarkovStrategy.from_stages(xs_by_remaining[::-1]),
+        MarkovStrategy.from_stages(ys_by_remaining[::-1]),
     )
 
 

@@ -132,6 +132,15 @@ class TestAdaptedProfile:
         profile = adapted_profile(game, 10, 3, provider=provider)
         assert sorted(calls) == sorted(profile.schedule.discounts)
 
+    def test_tol_defaults_to_the_provider_and_must_match_it(self):
+        game = big_match().game
+        provider = DiscountedProfileProvider(game, tol=1e-9)
+        assert adapted_profile(game, 10, 3, provider=provider).tol == 1e-9
+        assert adapted_profile(game, 10, 3, tol=1e-9, provider=provider).tol == 1e-9
+        assert adapted_profile(game, 10, 3).tol == 1e-8
+        with pytest.raises(InputError, match="provider"):
+            adapted_profile(game, 10, 3, tol=1e-8, provider=provider)
+
     def test_convergence_failure_tagged_with_block(self, monkeypatch):
         import stochgame.adapted as adapted_module
         from stochgame.errors import ConvergenceError

@@ -16,6 +16,25 @@ def dir_snapshot(root: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(root.iterdir()) if p.is_file()}
 
 
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Discounts passed to ``discounted_value``, from every module that calls it."""
+    import stochgame.adapted as adapted
+    import stochgame.cli as cli
+    import stochgame.shapley as shapley
+
+    calls = []
+    solve = shapley.discounted_value
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve(*args, **kwargs)
+
+    for module in (adapted, cli, shapley):
+        monkeypatch.setattr(module, "discounted_value", counted)
+    return calls
+
+
 class TestValuesCommand:
     def test_lambda_grid_rows_per_state(self, tmp_path):
         out = tmp_path / "run"
@@ -39,23 +58,12 @@ class TestValuesCommand:
         assert limit["value"]["play"] == pytest.approx(0.5, abs=1e-5)
         assert limit["dispersion"] <= 1e-6
 
-    def test_limit_json_reuses_the_grid_solves(self, tmp_path, monkeypatch):
-        import stochgame.cli as cli
-        import stochgame.shapley as shapley
+    def test_limit_json_reuses_the_grid_solves(self, tmp_path, solve_calls):
         from stochgame import big_match, limit_value_estimate
 
-        calls = []
-        solve = shapley.discounted_value
-
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "discounted_value", counted)
-        monkeypatch.setattr(shapley, "discounted_value", counted)
         out = tmp_path / "run"
         assert main(["values", "--corpus", "big_match", "--lambda-grid", "1e-1,1e-2,1e-3", "--out", str(out)]) == 0
-        assert calls == [1e-1, 1e-2, 1e-3]
+        assert solve_calls == [1e-1, 1e-2, 1e-3]
         estimate = limit_value_estimate(big_match().game, [1e-1, 1e-2, 1e-3])
         limit = json.loads(read(out / "limit.json"))
         assert limit["dispersion"] == estimate.dispersion
@@ -223,6 +231,23 @@ class TestCurveAndCertify:
         assert report["value_drift"]["within_block_target"] == pytest.approx(
             report["p"] ** -2.0
         )
+
+
+class TestOneSolvePerDiscount:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curve", "--corpus", "big_match", "--n-grid", "100,400", "--t-grid", "0.1,0.5,0.9",
+             "--discounted-grid", "1e-1,1e-2"],
+            ["certify", "--corpus", "big_match", "--n", "400"],
+            ["adapted", "--corpus", "big_match", "--n-grid", "50,200,800"],
+        ],
+        ids=["curve", "certify", "adapted"],
+    )
+    def test_no_discount_is_solved_twice(self, argv, tmp_path, solve_calls):
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+        assert solve_calls
+        assert len(solve_calls) == len(set(solve_calls))
 
 
 class TestExitCodes:

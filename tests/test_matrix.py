@@ -139,3 +139,27 @@ class TestInvariants:
             col_guarantee = (M @ sol.col_strategy).max()
             assert row_guarantee <= sol.value + sol.certificate_gap
             assert col_guarantee >= sol.value - sol.certificate_gap
+
+
+class TestPayoffScale:
+    @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e6, 1e9])
+    def test_scaled_solve_matches_support_enumeration(self, scale):
+        # the oracle solves the unscaled matrix, so its tolerance stays meaningful
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            M = rng.uniform(-1.0, 1.0, size=(3, 3))
+            sol = solve_matrix_game(scale * M)
+            oracle = support_enumeration_value(M)
+            assert abs(sol.value / scale - oracle) <= 1e-12
+            assert (sol.row_strategy @ M).min() >= oracle - 1e-12
+            assert (M @ sol.col_strategy).max() <= oracle + 1e-12
+            assert sol.certificate_gap <= 1e-12 * scale
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_duality_bracket_many_draws(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(2000):
+            M = random_matrix(rng)
+            sol = solve_matrix_game(M)
+            assert (sol.row_strategy @ M).min() <= sol.value + sol.certificate_gap
+            assert (M @ sol.col_strategy).max() >= sol.value - sol.certificate_gap

@@ -201,6 +201,14 @@ class TestSmallDiscounts:
             assert (sol.x.probs[s] @ local[s]).min() >= value - 1e-11
             assert (local[s] @ sol.y.probs[s]).max() <= value + 1e-11
 
+    def test_operator_confirms_small_discount_solve(self):
+        # the operator's 2x2 closed form must not cancel when a local game's
+        # entries nearly coincide, as they do at small discounts
+        game = random_game(3, 2, 2, seed=11).game
+        sol = discounted_value(game, 1e-6, tol=1e-8)
+        residual = np.abs(shapley_operator(game, 1e-6, sol.value) - sol.value).max()
+        assert residual <= 1e-8 * 1e-6
+
     def test_target_below_rounding_fails_fast(self):
         # tol * discount = 1e-18 cannot be certified in double precision; the
         # iteration cycles and must say so instead of running to its cap
