@@ -97,6 +97,8 @@ class DiscountedProfileProvider:
     def __init__(self, game: StochasticGame, tol: float = 1e-8):
         if not tol > 0.0:
             raise InputError("tol must be positive")
+        if not math.isfinite(tol):
+            raise InputError("tol must be finite")
         self.game = game
         self.tol = float(tol)
         self._cache: dict[float, DiscountedSolution] = {}
@@ -286,27 +288,13 @@ def estimate_discount_thresholds(
     drifts = []
     for discount in grid:
         x, y = provider.profile(discount)
-        stage_set = sorted({stages_to_weight(discount, t) for t in fractions})
-        curve = expected_value_under_profile(game, x, y, vstar, stage_set[-1])
-        drift = max(float(np.abs(curve[m - 1] - vstar).max()) for m in stage_set)
-        drifts.append(drift)
+        stages = np.array([stages_to_weight(discount, t) for t in fractions])
+        curve = expected_value_under_profile(game, x, y, vstar, int(stages.max()))
+        drifts.append(np.abs(curve[stages - 1] - vstar).max())
 
-    # tail_max[i]: worst drift among grid discounts <= grid[i]
-    tail_max = list(drifts)
-    for i in range(len(grid) - 2, -1, -1):
-        tail_max[i] = max(tail_max[i], tail_max[i + 1])
-
-    values = []
-    approximate = False
-    for p in range(1, max_blocks + 1):
-        bound = p**-2
-        chosen = None
-        for i, tail in enumerate(tail_max):
-            if tail <= bound:
-                chosen = grid[i]
-                break
-        if chosen is None:
-            chosen = grid[-1]
-            approximate = True
-        values.append(min(chosen, 0.5))
-    return DiscountThresholds(tuple(values), "empirical", approximate)
+    # tail_max[i]: worst drift among grid discounts <= grid[i]; it never increases
+    # along the grid, so the entries within 1/p^2 form a suffix of it
+    tail_max = np.maximum.accumulate(drifts[::-1])[::-1]
+    first = [len(grid) - int((tail_max <= p**-2).sum()) for p in range(1, max_blocks + 1)]
+    values = tuple(grid[min(i, len(grid) - 1)] for i in first)
+    return DiscountThresholds(values, "empirical", max(first) == len(grid))

@@ -21,6 +21,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -166,8 +167,7 @@ def _cmd_values(config: dict, out_dir: Path) -> None:
     game = _load_config_game(config)
     rows: list[list] = []
     if config.get("n_grid"):
-        n_grid = sorted(config["n_grid"])
-        table = finite_values(game, n_grid[-1])
+        table = finite_values(game, max(config["n_grid"]))
         for n in config["n_grid"]:
             for s, state in enumerate(game.states):
                 rows.append(["n", n, state, float(table[n - 1, s])])
@@ -280,28 +280,41 @@ def _cmd_gen(config: dict, out_dir: Path) -> None:
     save_game_file(entry.game, out_dir / "game.json")
 
 
+_HANDLERS = {
+    "values": _cmd_values,
+    "adapted": _cmd_adapted,
+    "curve": _cmd_curve,
+    "certify": _cmd_certify,
+    "gen": _cmd_gen,
+}
+
+
 def _run_command(command: str, config: dict, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    handlers = {
-        "values": _cmd_values,
-        "adapted": _cmd_adapted,
-        "curve": _cmd_curve,
-        "certify": _cmd_certify,
-        "gen": _cmd_gen,
-    }
-    handlers[command](config, out_dir)
+    _HANDLERS[command](config, out_dir)
     _write_manifest(out_dir, command, config)
+
+
+class _ManifestConfig(dict):
+    """A recorded config whose missing keys are input errors, not crashes."""
+
+    def __missing__(self, key):
+        raise InputError(f"manifest config has no {key!r} entry")
 
 
 def _cmd_rerun(manifest_path: str, out_dir: Path) -> None:
     with open(manifest_path, "r", encoding="utf-8") as handle:
         manifest = json.load(handle)
-    if manifest.get("schema") != _MANIFEST_SCHEMA:
+    if not isinstance(manifest, dict) or manifest.get("schema") != _MANIFEST_SCHEMA:
         raise InputError(f"{manifest_path}: not a {_MANIFEST_SCHEMA} manifest")
-    for path, recorded in manifest.get("inputs", {}).items():
+    command, config, inputs = manifest.get("command"), manifest.get("config"), manifest.get("inputs", {})
+    known = isinstance(command, str) and command in _HANDLERS
+    if not known or not isinstance(config, dict) or not isinstance(inputs, dict):
+        raise InputError(f"{manifest_path}: needs a known command and 'config' and 'inputs' objects")
+    for path, recorded in inputs.items():
         if _sha256(path) != recorded:
             raise InputError(f"input file {path} changed since the manifest was written")
-    _run_command(manifest["command"], manifest["config"], out_dir)
+    _run_command(command, _ManifestConfig(config), out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +422,11 @@ def _config_from_args(args: argparse.Namespace) -> dict:
         config["tol"] = float(args.tol)
         if not config["tol"] > 0:
             raise InputError("--tol must be positive")
+        if not math.isfinite(config["tol"]):
+            raise InputError("--tol must be finite")
     if command == "values":
-        if args.n_grid:
-            config["n_grid"] = _parse_grid(args.n_grid, int, "--n-grid")
-        elif args.n:
-            config["n_grid"] = [args.n]
+        if args.n_grid or args.n:
+            config["n_grid"] = _int_grid(args, "values")
         if args.lambda_grid:
             config["lambda_grid"] = _parse_grid(args.lambda_grid, float, "--lambda-grid")
         elif args.lam is not None:

@@ -59,6 +59,8 @@ def cumulative_stage(fraction: float, horizon: int) -> int:
 
 
 def _as_markov(strategy, horizon: int, who: str) -> MarkovStrategy:
+    if not isinstance(horizon, int) or horizon < 1:
+        raise InputError("horizon must be a positive integer")
     if isinstance(strategy, StationaryStrategy):
         return MarkovStrategy.from_stationary(strategy, horizon)
     if isinstance(strategy, MarkovStrategy):
@@ -83,21 +85,16 @@ def _profile_strategies(profile, horizon: int) -> tuple[MarkovStrategy, MarkovSt
 
 def _joint_runs(sigma: MarkovStrategy, rho: MarkovStrategy, horizon: int):
     """Yield (length, x, y) runs over which both strategies are constant."""
-    runs1 = iter(sigma.runs(horizon))
     runs2 = iter(rho.runs(horizon))
-    len1, x = next(runs1)
-    len2, y = next(runs2)
-    done = 0
-    while done < horizon:
-        take = min(len1, len2)
-        yield take, x, y
-        done += take
-        len1 -= take
-        len2 -= take
-        if len1 == 0 and done < horizon:
-            len1, x = next(runs1)
-        if len2 == 0 and done < horizon:
-            len2, y = next(runs2)
+    len2, y = 0, None
+    for len1, x in sigma.runs(horizon):
+        while len1 > 0:
+            if len2 == 0:
+                len2, y = next(runs2)
+            take = min(len1, len2)
+            yield take, x, y
+            len1 -= take
+            len2 -= take
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,8 +132,6 @@ def trajectory(
     When ``limit_value`` is given, also records the expected reference value
     of the state at every stage 1..n+1.
     """
-    if not isinstance(horizon, int) or horizon < 1:
-        raise InputError("horizon must be a positive integer")
     sigma, rho = _as_markov(sigma, horizon, "Player 1"), _as_markov(rho, horizon, "Player 2")
     start = game.state_index(initial_state)
     vstar = None
@@ -164,6 +159,13 @@ def trajectory(
     return PayoffTrajectory(horizon, start, stage_payoffs, cumulative, curve)
 
 
+def _t_grid(t_grid) -> tuple[float, ...]:
+    grid = tuple(float(t) for t in t_grid)
+    if not grid or any(not 0.0 < t < 1.0 for t in grid):
+        raise InputError("t_grid must be non-empty with entries in (0, 1)")
+    return grid
+
+
 @dataclass(frozen=True, eq=False)
 class ConstantPayoffCurve:
     """Cumulative payoff at each fraction t against the target t * v*(start)."""
@@ -187,9 +189,7 @@ def constant_payoff_curve(
     limit_value,
 ) -> ConstantPayoffCurve:
     """Deviation of the cumulative payoff from the linear growth t * v*(start)."""
-    grid = tuple(float(t) for t in t_grid)
-    if not grid or any(not 0.0 < t < 1.0 for t in grid):
-        raise InputError("t_grid must be non-empty with entries in (0, 1)")
+    grid = _t_grid(t_grid)
     sigma, rho = _profile_strategies(profile, horizon)
     traj = trajectory(game, sigma, rho, initial_state, horizon)
     vstar = np.asarray(limit_value, dtype=float)
@@ -243,11 +243,9 @@ def expected_value_under_profile(
         raise InputError("values must be a vector over the game's states")
     kernel = profile_transition_matrix(game, x, y)
     out = np.empty((num_stages, game.num_states))
-    u = v.copy()
-    for m in range(num_stages):
-        out[m] = u
-        if m + 1 < num_stages:
-            u = kernel @ u
+    out[0] = v
+    for m in range(1, num_stages):
+        out[m] = kernel @ out[m - 1]
     return out
 
 
@@ -286,20 +284,13 @@ def _response_levels(
     Stage m mixes the stage payoff with weight 1/(n - m + 1).  Returns the
     full (horizon + 1, states) table; row m-1 is the level from stage m.
     """
-    ns = game.num_states
-    levels = np.empty((horizon + 1, ns))
-    levels[horizon] = 0.0
+    rule = "si,sij...->sj..." if adversary_minimizes else "sj,sij...->si..."
+    levels = np.zeros((horizon + 1, game.num_states))
     w = levels[horizon]
-    runs = list(strategy.runs(horizon))
     m = horizon
-    for length, stat in reversed(runs):
-        probs = stat.probs
-        if adversary_minimizes:
-            own_payoff = np.einsum("si,sij->sj", probs, game.payoff)
-            own_kernel = np.einsum("si,sijt->sjt", probs, game.transition)
-        else:
-            own_payoff = np.einsum("sj,sij->si", probs, game.payoff)
-            own_kernel = np.einsum("sj,sijt->sit", probs, game.transition)
+    for length, stat in reversed(list(strategy.runs(horizon))):
+        own_payoff = np.einsum(rule, stat.probs, game.payoff)
+        own_kernel = np.einsum(rule, stat.probs, game.transition)
         for _ in range(length):
             weight = 1.0 / (horizon - m + 1)
             totals = weight * own_payoff + (1.0 - weight) * (own_kernel @ w)
@@ -316,8 +307,6 @@ def guaranteed_value(game: StochasticGame, sigma, horizon: int) -> GuaranteeCert
     Markov decision problem, so the backward min recursion attains the
     minimum over all strategies.
     """
-    if not isinstance(horizon, int) or horizon < 1:
-        raise InputError("horizon must be a positive integer")
     sigma = _as_markov(sigma, horizon, "Player 1")
     levels = _response_levels(game, sigma, horizon, adversary_minimizes=True)
     v_n = finite_values(game, horizon)[-1]
@@ -332,8 +321,6 @@ def certify_epsilon_optimality(game: StochasticGame, profile, horizon: int) -> f
     result is max over states of the larger one-sided gap to the n-stage
     value.  Values within solver noise of zero certify optimality.
     """
-    if not isinstance(horizon, int) or horizon < 1:
-        raise InputError("horizon must be a positive integer")
     sigma, rho = _profile_strategies(profile, horizon)
     low = _response_levels(game, sigma, horizon, adversary_minimizes=True)[0]
     high = _response_levels(game, rho, horizon, adversary_minimizes=False)[0]
@@ -376,9 +363,7 @@ def value_drift_diagnostic(
     limit_value,
 ) -> ValueDriftReport:
     """Measure how far play moves the expected reference value of the state."""
-    grid = tuple(float(t) for t in t_grid)
-    if not grid or any(not 0.0 < t < 1.0 for t in grid):
-        raise InputError("t_grid must be non-empty with entries in (0, 1)")
+    grid = _t_grid(t_grid)
     sigma, rho = _profile_strategies(profile, horizon)
     traj = trajectory(game, sigma, rho, initial_state, horizon, limit_value=limit_value)
     curve = traj.value_curve
@@ -392,12 +377,12 @@ def value_drift_diagnostic(
     schedule = getattr(profile, "schedule", None)
     if schedule is not None:
         a, p = schedule.block_length, schedule.num_blocks
-        within_max = 0.0
-        for k in range(p):
-            block_start = curve[k * a]  # stage k*a + 1
-            top = min(a + 1, horizon + 1 - k * a)
-            for j in range(1, top + 1):
-                within_max = max(within_max, abs(float(curve[k * a + j - 1] - block_start)))
+        # curve[k*a] is stage k*a + 1; each block is compared up to the stage after
+        # it, and a profile longer than the horizon counts only the blocks begun
+        within_max = max(
+            float(np.abs(curve[k * a : (k + 1) * a + 1] - curve[k * a]).max())
+            for k in range(min(p, horizon // a + 1))
+        )
         within_target = p**-2
         scheduled = curve[: p * a] - start_value
         global_max = float(np.abs(scheduled).max())
@@ -441,8 +426,6 @@ def monte_carlo_payoff(
     vectorized draw each.  That draw order is part of the reproducibility
     contract: the same seed always yields the same estimate.
     """
-    if not isinstance(horizon, int) or horizon < 1:
-        raise InputError("horizon must be a positive integer")
     if not isinstance(trials, int) or trials < 1:
         raise InputError("trials must be a positive integer")
     sigma, rho = _profile_strategies(profile, horizon)

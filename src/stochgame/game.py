@@ -318,9 +318,7 @@ def advance_distribution(
     y: StationaryStrategy,
 ) -> np.ndarray:
     """One-step law of the next state under (x, y) from state law ``dist``."""
-    d = validate_state_distribution(dist, game.num_states)
-    _check_profile_shapes(game, x, y)
-    return np.einsum("s,si,sj,sijt->t", d, x.probs, y.probs, game.transition)
+    return validate_state_distribution(dist, game.num_states) @ profile_transition_matrix(game, x, y)
 
 
 def expected_stage_payoff(
@@ -330,9 +328,7 @@ def expected_stage_payoff(
     y: StationaryStrategy,
 ) -> float:
     """Expected one-stage payoff under (x, y) when the state has law ``dist``."""
-    d = validate_state_distribution(dist, game.num_states)
-    _check_profile_shapes(game, x, y)
-    return float(np.einsum("s,si,sj,sij->", d, x.probs, y.probs, game.payoff))
+    return float(validate_state_distribution(dist, game.num_states) @ profile_stage_payoffs(game, x, y))
 
 
 def profile_transition_matrix(

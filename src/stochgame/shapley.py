@@ -157,6 +157,8 @@ def discounted_value(
     discount = _check_discount(discount)
     if not tol > 0.0:
         raise InputError("tol must be positive")
+    if not math.isfinite(tol):
+        raise InputError("tol must be finite")
     ns = game.num_states
     target = tol * discount
     cap = default_iteration_cap(game, discount, tol) if max_iterations is None else max_iterations

@@ -19,8 +19,11 @@ from stochgame import (
     select_block_length,
     trajectory,
 )
+from stochgame.adapted import DEFAULT_DRIFT_T_GRID
 from stochgame.corpus import big_match, random_game
-from stochgame.game import StochasticGame
+from stochgame.game import StationaryStrategy, StochasticGame
+
+from oracles import weight_horizon_scan
 
 
 def constant_game(value=0.3):
@@ -294,6 +297,82 @@ class TestEstimateDiscountThresholds:
             estimate_discount_thresholds(game, provider, [0.25, 0.5], 3, np.zeros(2))
         with pytest.raises(InputError):
             estimate_discount_thresholds(game, provider, [0.5, 0.25], 3, np.zeros(2), t_grid=(0.9,))
+
+
+def grab_game():
+    """Player 1 either stays in A (reference value 1) or moves to the absorbing
+    state Z (reference value 0.25); Player 2 has no choice."""
+    payoff = np.array([[[1.0], [3.0]], [[0.25], [0.25]]])
+    transition = np.zeros((2, 2, 1, 2))
+    transition[0, 0, 0, 0] = transition[0, 1, 0, 1] = 1.0
+    transition[1, :, 0, 1] = 1.0
+    return StochasticGame(("A", "Z"), ("stay", "grab"), ("-",), payoff, transition)
+
+
+class FixedPlayProvider:
+    """Serves a chosen pure action in A per discount instead of solving."""
+
+    def __init__(self, grabs: dict):
+        self.grabs = grabs
+
+    def profile(self, discount):
+        x = StationaryStrategy.pure(2, 2, [self.grabs[discount], 0])
+        return x, StationaryStrategy.uniform(2, 1)
+
+
+def selection_rule(game, provider, grid, max_blocks, vstar):
+    """Thresholds written out: the drift of each grid discount by a plain forward
+    recursion, then per p the largest discount whose whole tail stays within 1/p^2."""
+    drifts = []
+    for discount in grid:
+        x, y = provider.profile(discount)
+        kernel = np.einsum("si,sj,sijt->st", x.probs, y.probs, game.transition)
+        stages = {weight_horizon_scan(discount, t) for t in DEFAULT_DRIFT_T_GRID}
+        drift, u = 0.0, vstar
+        for m in range(1, max(stages) + 1):
+            if m in stages:
+                drift = max(drift, float(np.abs(u - vstar).max()))
+            u = kernel @ u
+        drifts.append(drift)
+    values, approximate = [], False
+    for p in range(1, max_blocks + 1):
+        within = [d for i, d in enumerate(grid) if max(drifts[i:]) <= p**-2]
+        values.append(within[0] if within else grid[-1])
+        approximate = approximate or not within
+    return tuple(values), approximate
+
+
+class TestProvider:
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        with pytest.raises(InputError):
+            DiscountedProfileProvider(big_match().game, tol)
+
+
+class TestThresholdSelection:
+    @pytest.mark.parametrize(
+        "grid, grabs, expected, approximate",
+        [
+            # drifts 0.75, 0, 0.75, 0, 0: the tail, not the single entry, decides
+            ([0.5, 0.4, 0.3, 0.25, 0.2], [1, 0, 1, 0, 0], (0.5,) + (0.25,) * 4, False),
+            # solved play grabs when 3d + 0.25(1 - d) > 1, i.e. above d = 3/11
+            ([0.5, 0.4, 0.3, 0.25, 0.2, 0.1], None, (0.5,) + (0.25,) * 5, False),
+            # solved play grabs at every grid discount, so no p >= 2 is met
+            ([0.5, 0.4, 0.3], None, (0.5, 0.3, 0.3, 0.3), True),
+        ],
+        ids=["fixed-play-tail", "solved-cutoff", "solved-approximate"],
+    )
+    def test_matches_the_selection_rule(self, grid, grabs, expected, approximate):
+        game = grab_game()
+        vstar = np.array([1.0, 0.25])
+        if grabs is None:
+            provider = DiscountedProfileProvider(game, tol=1e-10)
+        else:
+            provider = FixedPlayProvider(dict(zip(grid, grabs)))
+        thresholds = estimate_discount_thresholds(game, provider, grid, len(expected), vstar)
+        assert selection_rule(game, provider, grid, len(expected), vstar) == (expected, approximate)
+        assert thresholds.values == expected
+        assert thresholds.approximate is approximate
 
 
 class TestThresholdType:

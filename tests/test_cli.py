@@ -12,6 +12,12 @@ def read(path: Path) -> str:
     return path.read_text(encoding="utf-8")
 
 
+def single_json_error(capsys) -> dict:
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
 def dir_snapshot(root: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(root.iterdir()) if p.is_file()}
 
@@ -105,6 +111,18 @@ class TestValuesCommand:
 
     def test_needs_some_grid(self, tmp_path):
         assert main(["values", "--corpus", "big_match", "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("grid", ["0,3", "-5,3"])
+    def test_non_positive_horizons_exit_2(self, grid, tmp_path, capsys):
+        code = main(["values", "--corpus", "big_match", f"--n-grid={grid}", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert single_json_error(capsys)["error"] == "InputError"
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+    def test_tol_must_be_positive_and_finite(self, tol, tmp_path, capsys):
+        argv = ["values", "--corpus", "big_match", "--lambda", "0.1", "--tol", tol]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert single_json_error(capsys)["error"] == "InputError"
 
     def test_non_monotone_grid_rejected(self, tmp_path):
         code = main(
@@ -293,6 +311,25 @@ class TestReproducibility:
         code = main(["rerun", str(first / "manifest.json"), "--out", str(tmp_path / "second")])
         assert code == 2
         assert "changed" in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda m: {key: value for key, value in m.items() if key != "config"},
+            lambda m: {**m, "command": "frobnicate"},
+            lambda m: {**m, "config": {key: value for key, value in m["config"].items() if key != "tol"}},
+            lambda m: [m],
+        ],
+        ids=["no-config", "unknown-command", "config-without-tol", "top-level-array"],
+    )
+    def test_malformed_manifest_exits_2(self, damage, tmp_path, capsys):
+        first = tmp_path / "first"
+        assert main(["values", "--corpus", "big_match", "--lambda", "0.5", "--out", str(first)]) == 0
+        path = tmp_path / "damaged.json"
+        path.write_text(json.dumps(damage(json.loads(read(first / "manifest.json")))))
+        capsys.readouterr()
+        assert main(["rerun", str(path), "--out", str(tmp_path / "second")]) == 2
+        assert single_json_error(capsys)["error"] == "InputError"
 
     def test_identical_commands_identical_outputs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -21,6 +21,7 @@ from stochgame import (
 from stochgame.corpus import random_game, single_player_mdp
 
 from oracles import (
+    finite_values_recursion,
     path_enumeration_discounted_cumulative,
     path_enumeration_stage_payoffs,
     pure_markov_best_response_value,
@@ -36,6 +37,25 @@ def constant_game(value=0.6, num_states=2):
         actions2=("b0", "b1"),
         payoff=np.full((num_states, 2, 2), value),
         transition=np.full((num_states, 2, 2, num_states), 1.0 / num_states),
+    )
+
+
+def mirrored(game):
+    """The game with the players' roles swapped: the new Player 1 is the old
+    Player 2 and receives the negated payoff."""
+    return StochasticGame(
+        game.states,
+        game.actions2,
+        game.actions1,
+        -game.payoff.transpose(0, 2, 1),
+        game.transition.transpose(0, 2, 1, 3),
+    )
+
+
+def seeded_markov(num_states, num_actions, horizon, seed):
+    rng = np.random.default_rng(seed)
+    return MarkovStrategy.from_stages(
+        [StationaryStrategy(rng.dirichlet(np.ones(num_actions), size=num_states)) for _ in range(horizon)]
     )
 
 
@@ -289,6 +309,27 @@ class TestCertifyEpsilonOptimality:
         eps = certify_epsilon_optimality(game, (x, y), 5)
         assert eps >= 0.4
 
+    @pytest.mark.parametrize(
+        "seed, uniform_rho", [(31, False), (32, False), (33, True)], ids=["seeded", "seeded-2", "uniform"]
+    )
+    def test_player_two_side_matches_mirrored_enumeration(self, seed, uniform_rho):
+        # the best reply to a fixed rho maximizes over Player 1's actions; in the
+        # mirrored game it is the minimizing reply that the oracle enumerates
+        game = random_game(2, 3, 2, seed=seed).game
+        horizon = 3
+        sigma = finite_value(game, horizon).x_strategies
+        if uniform_rho:
+            rho = MarkovStrategy.from_stationary(StationaryStrategy.uniform(2, 2), horizon)
+        else:
+            rho = seeded_markov(2, 2, horizon, seed + 100)
+        v_n = finite_values_recursion(game, horizon)[-1]
+        low = pure_markov_best_response_value(game, sigma, horizon)
+        high = -pure_markov_best_response_value(mirrored(game), rho, horizon)
+        assert (high - v_n).max() > 1e-3  # the Player 2 side decides the gap
+        expected = max((v_n - low).max(), (high - v_n).max())
+        eps = certify_epsilon_optimality(game, (sigma, rho), horizon)
+        assert eps == pytest.approx(expected, abs=1e-12)
+
     def test_accepts_adapted_profile_objects(self):
         game = random_game(2, 2, 2, seed=23).game
         profile = adapted_profile(game, 12, 3, tol=1e-8)
@@ -319,6 +360,83 @@ class TestValueDrift:
         scheduled = value_drift_diagnostic(game, profile, 0, 12, [0.5], np.zeros(2))
         assert scheduled.within_block_target == pytest.approx(1.0 / 16)
         assert scheduled.global_target == pytest.approx(0.5)
+
+
+    @staticmethod
+    def forward_value_curve(game, profile, start, horizon, vstar):
+        """E[v*(state at stage m)] for m = 1..horizon+1, one stage at a time."""
+        dist = np.zeros(game.num_states)
+        dist[start] = 1.0
+        curve = [float(dist @ vstar)]
+        for m in range(1, horizon + 1):
+            x = profile.sigma.at_stage(m).probs
+            y = profile.rho.at_stage(m).probs
+            dist = np.einsum("s,si,sj,sijt->t", dist, x, y, game.transition)
+            curve.append(float(dist @ vstar))
+        return curve
+
+    @staticmethod
+    def leaking_game():
+        """State A drains into the absorbing state Z at rate 0.1 whatever is
+        played, so E[v*] with v* = (1, 0) falls steadily and every block's
+        largest drift sits at its far end."""
+        transition = np.zeros((2, 2, 2, 2))
+        transition[0, ..., 0], transition[0, ..., 1] = 0.9, 0.1
+        transition[1, ..., 1] = 1.0
+        payoff = random_game(2, 2, 2, seed=29).game.payoff
+        return StochasticGame(("A", "Z"), ("a0", "a1"), ("b0", "b1"), payoff, transition), np.array([1.0, 0.0])
+
+    @staticmethod
+    def mixing_game():
+        return random_game(3, 2, 2, seed=28).game, np.array([0.9, -0.4, 0.1])
+
+    @staticmethod
+    def path_game():
+        """A walk s0 -> s1 -> ... -> s10 (absorbing); v* is 1 only at s10, so
+        from s0 the one drift is at stage 11."""
+        transition = np.zeros((11, 1, 1, 11))
+        transition[np.arange(11), 0, 0, np.minimum(np.arange(11) + 1, 10)] = 1.0
+        game = StochasticGame(tuple(f"s{k}" for k in range(11)), ("a",), ("b",), np.zeros((11, 1, 1)), transition)
+        return game, np.eye(11)[10]
+
+    @pytest.mark.parametrize(
+        "make_game, profile_horizon, block_length, horizon",
+        [
+            ("mixing_game", 11, 3, 11),
+            ("mixing_game", 24, 5, 24),
+            ("mixing_game", 12, 3, 10),
+            ("leaking_game", 11, 3, 11),
+            ("leaking_game", 24, 5, 24),
+            ("leaking_game", 12, 3, 10),
+            ("path_game", 12, 3, 10),  # only the cut last block, stages 10 and 11, drifts
+        ],
+    )
+    def test_block_fields_match_forward_recursion(self, make_game, profile_horizon, block_length, horizon):
+        self.check_block_fields(getattr(self, make_game)(), profile_horizon, block_length, horizon)
+
+    def test_blocks_beyond_the_horizon_are_skipped(self):
+        # blocks 2 and 3 of the 12-stage schedule start after stage 6
+        self.check_block_fields(self.leaking_game(), 12, 3, 5)
+
+    def check_block_fields(self, game_and_reference, profile_horizon, block_length, horizon):
+        game, vstar = game_and_reference
+        profile = adapted_profile(game, profile_horizon, block_length, tol=1e-10)
+        report = value_drift_diagnostic(game, profile, 0, horizon, [0.5], vstar)
+        curve = self.forward_value_curve(game, profile, 0, horizon, vstar)
+        a, p = block_length, profile_horizon // block_length
+        # each block from its first stage through the stage after it, cut at the horizon
+        within = max(
+            abs(curve[m] - curve[k * a])
+            for k in range(p)
+            for m in range(k * a, (k + 1) * a + 1)
+            if m <= horizon
+        )
+        scheduled = max(abs(curve[m] - curve[0]) for m in range(min(p * a, horizon + 1)))
+        assert within > 1e-3
+        assert report.within_block_max == pytest.approx(within, abs=1e-14)
+        assert report.global_max == pytest.approx(scheduled, abs=1e-14)
+        assert report.within_block_target == p**-2
+        assert report.global_target == 2.0 / p
 
 
 class TestMonteCarlo:

@@ -171,6 +171,12 @@ class TestDiscountedValue:
             with pytest.raises(InputError):
                 discounted_value(game, bad)
 
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1e-8])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # an infinite tol would accept the starting guess min g as the value
+        with pytest.raises(InputError):
+            discounted_value(big_match().game, 0.01, tol=tol)
+
 
 class TestSmallDiscounts:
     def test_big_match_against_bisection(self):
