@@ -11,8 +11,12 @@ Commands::
 
 Every run writes its outputs plus a ``manifest.json`` (config, package
 version, input file hashes) into ``--out DIR``; re-running a manifest
-reproduces every output byte for byte.  Exit codes: 0 ok, 2 input error,
-3 convergence failure; errors are emitted as one JSON object on stderr.
+reproduces every output byte for byte.  Exit codes: 0 ok, 2 input error
+(argument errors included), 3 convergence failure; errors are emitted as
+one JSON object on stderr.  A run's config is its parsed flags, so
+:func:`build_parser` is the only config schema; ``rerun`` parses the
+recorded config as flags and refuses it unless it parses back unchanged.
+``--n``/``--n-grid`` and ``--lambda``/``--lambda-grid`` exclude each other.
 """
 from __future__ import annotations
 
@@ -53,20 +57,6 @@ _DEFAULT_VSTAR_GRID = "1e-1,1e-2,1e-3"
 # ---------------------------------------------------------------------------
 # Config plumbing
 # ---------------------------------------------------------------------------
-
-
-def _parse_grid(text: str, kind, what: str) -> list:
-    try:
-        grid = [kind(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise InputError(f"{what} must be a comma-separated list") from None
-    if not grid:
-        raise InputError(f"{what} must be non-empty")
-    increasing = all(a < b for a, b in zip(grid, grid[1:]))
-    decreasing = all(a > b for a, b in zip(grid, grid[1:]))
-    if len(grid) > 1 and not (increasing or decreasing):
-        raise InputError(f"{what} must be strictly monotone")
-    return grid
 
 
 def _load_config_game(config: dict):
@@ -137,24 +127,25 @@ def _write_table(out_dir: Path, command: str, name: str, fmt: str, header, rows)
 def _load_thresholds(path: str) -> DiscountThresholds:
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
-    if not isinstance(data, dict) or "thresholds" not in data:
-        raise InputError(f"{path}: threshold file needs a 'thresholds' array")
+    values = data.get("thresholds") if isinstance(data, dict) else None
+    if not isinstance(values, list) or any(type(v) not in (int, float) for v in values):
+        raise InputError(f"{path}: threshold file needs a 'thresholds' array of numbers")
+    approximate = data.get("approximate", False)
+    if not isinstance(approximate, bool):
+        raise InputError(f"{path}: 'approximate' must be true or false")
     return DiscountThresholds(
-        tuple(float(v) for v in data["thresholds"]),
-        str(data.get("provenance", "file")),
-        bool(data.get("approximate", False)),
+        tuple(float(v) for v in values), str(data.get("provenance", "file")), approximate
     )
 
 
 def _pick_block_length(config: dict, horizon: int) -> int:
-    raw = config.get("a", "auto")
-    if raw != "auto":
-        return int(raw)
+    if config.get("a", "auto") != "auto":
+        return config["a"]
     if config.get("mu_file"):
         try:
             return select_block_length(horizon, _load_thresholds(config["mu_file"]))
         except ScheduleNotReadyError:
-            return default_block_length(horizon)
+            pass
     return default_block_length(horizon)
 
 
@@ -164,6 +155,8 @@ def _pick_block_length(config: dict, horizon: int) -> int:
 
 
 def _cmd_values(config: dict, out_dir: Path) -> None:
+    if not config.get("n_grid") and not config.get("lambda_grid"):
+        raise InputError("values needs --n/--n-grid and/or --lambda/--lambda-grid")
     game = _load_config_game(config)
     rows: list[list] = []
     if config.get("n_grid"):
@@ -185,8 +178,6 @@ def _cmd_values(config: dict, out_dir: Path) -> None:
                 "value": {state: float(v) for state, v in zip(game.states, estimate.value)},
             }
             _write_text(out_dir / "limit.json", json.dumps(limit, indent=2) + "\n")
-    if not rows:
-        raise InputError("values needs --n/--n-grid and/or --lambda/--lambda-grid")
     _write_table(out_dir, "values", "values", config["format"], ["kind", "param", "state", "value"], rows)
 
 
@@ -289,37 +280,84 @@ _HANDLERS = {
 }
 
 
-def _run_command(command: str, config: dict, out_dir: Path) -> None:
+def _run_command(command: str, config: dict, out_dir: Path, recorded=None) -> None:
+    """Run ``command`` on ``config``; a rerun's manifest repeats the ``recorded`` config."""
     out_dir.mkdir(parents=True, exist_ok=True)
     _HANDLERS[command](config, out_dir)
-    _write_manifest(out_dir, command, config)
+    _write_manifest(out_dir, command, config if recorded is None else recorded)
 
 
-class _ManifestConfig(dict):
-    """A recorded config whose missing keys are input errors, not crashes."""
+def _flag(key: str, value) -> str:
+    """``--key=value`` for a recorded entry; ``repr`` round-trips floats exactly."""
+    text = ",".join(map(repr, value)) if isinstance(value, list) else str(value)
+    return f"--{key.replace('_', '-')}={text}"
 
-    def __missing__(self, key):
-        raise InputError(f"manifest config has no {key!r} entry")
 
-
-def _cmd_rerun(manifest_path: str, out_dir: Path) -> None:
+def _cmd_rerun(parser: argparse.ArgumentParser, manifest_path: str, out_dir: Path) -> None:
     with open(manifest_path, "r", encoding="utf-8") as handle:
         manifest = json.load(handle)
     if not isinstance(manifest, dict) or manifest.get("schema") != _MANIFEST_SCHEMA:
         raise InputError(f"{manifest_path}: not a {_MANIFEST_SCHEMA} manifest")
-    command, config, inputs = manifest.get("command"), manifest.get("config"), manifest.get("inputs", {})
+    command, recorded, inputs = manifest.get("command"), manifest.get("config"), manifest.get("inputs", {})
     known = isinstance(command, str) and command in _HANDLERS
-    if not known or not isinstance(config, dict) or not isinstance(inputs, dict):
+    if not known or not isinstance(recorded, dict) or not isinstance(inputs, dict):
         raise InputError(f"{manifest_path}: needs a known command and 'config' and 'inputs' objects")
-    for path, recorded in inputs.items():
-        if _sha256(path) != recorded:
+    for path, digest in inputs.items():
+        if _sha256(path) != digest:
             raise InputError(f"input file {path} changed since the manifest was written")
-    _run_command(command, _ManifestConfig(config), out_dir)
+    # a null entry is an unset flag, as in manifests that recorded every flag
+    wanted = {key: value for key, value in recorded.items() if value is not None}
+    flags = [_flag(key, value) for key, value in wanted.items()]
+    config = _config(parser.parse_args([command, *flags, "--out", str(out_dir)]))
+    if config != wanted:
+        raise InputError(f"{manifest_path}: config is not what its {command} flags parse to")
+    _run_command(command, config, out_dir, recorded)
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are input errors: exit 2 and one JSON line."""
+
+    def error(self, message: str):
+        raise InputError(message)
+
+
+def _checked(kind, requirement: str, ok=lambda value: True):
+    """An argparse ``type``: ``kind(text)``, refused unless ``ok`` holds of it."""
+
+    def convert(text: str):
+        try:
+            value = kind(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
+
+    return convert
+
+
+_real = _checked(float, "expected a number")
+_horizon = _checked(int, "horizons must be positive integers", lambda n: n >= 1)
+_tol = _checked(float, "must be a positive finite number", lambda t: t > 0 and math.isfinite(t))
+_block_length = _checked(lambda s: s if s == "auto" else int(s), "must be 'auto' or an integer")
+
+
+def _grid(item):
+    """An argparse ``type``: a non-empty, strictly monotone comma-separated list of ``item``."""
+
+    def convert(text: str) -> list:
+        grid = [item(part) for part in text.split(",") if part.strip() != ""]
+        pairs = list(zip(grid, grid[1:]))
+        if not grid or not (all(a < b for a, b in pairs) or all(a > b for a, b in pairs)):
+            raise argparse.ArgumentTypeError(f"not a non-empty, strictly monotone list: {text!r}")
+        return grid
+
+    return convert
 
 
 def _add_game_source(parser: argparse.ArgumentParser) -> None:
@@ -328,53 +366,60 @@ def _add_game_source(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--corpus", help="name of a built-in corpus game")
 
 
+def _add_horizons(parser: argparse.ArgumentParser, required: bool) -> None:
+    """``--n`` is a one-entry ``--n-grid``: both set the config's ``n_grid``."""
+    group = parser.add_mutually_exclusive_group(required=required)
+    group.add_argument("--n", dest="n_grid", metavar="N", type=lambda s: [_horizon(s)])
+    group.add_argument("--n-grid", type=_grid(_horizon))
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=1e-8, help="discounted-solve tolerance")
+    parser.add_argument("--tol", type=_tol, default=1e-8, help="discounted-solve tolerance")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _add_curve_flags(parser: argparse.ArgumentParser) -> None:
-    """Flags shared by ``curve`` and ``certify``; :func:`_curve_config` reads them."""
-    parser.add_argument("--t-grid", default=_DEFAULT_T_GRID)
-    parser.add_argument("--a", default="auto")
-    parser.add_argument("--mu-file")
+    """Flags shared by ``curve`` and ``certify``."""
+    parser.add_argument("--t-grid", type=_grid(_real), default=_DEFAULT_T_GRID)
+    parser.add_argument("--a", type=_block_length, default="auto", help="block length, or 'auto'")
+    parser.add_argument("--mu-file", help="JSON file with drift thresholds for block selection")
     parser.add_argument("--omega", help="initial state label (default: first state)")
-    parser.add_argument("--vstar-grid", default=_DEFAULT_VSTAR_GRID)
+    parser.add_argument("--vstar-grid", type=_grid(_real), default=_DEFAULT_VSTAR_GRID)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="stochgame", description=__doc__.split("\n\n")[0])
+    parser = _Parser(prog="stochgame", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("values", help="n-stage and discounted values")
     _add_game_source(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--n-grid")
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--lambda-grid")
+    _add_horizons(p, required=False)
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--lambda", dest="lambda_grid", metavar="LAMBDA", type=lambda s: [_real(s)])
+    group.add_argument("--lambda-grid", type=_grid(_real))
     _add_common(p)
 
     p = sub.add_parser("adapted", help="block-discounted profiles and optimality gaps")
     _add_game_source(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--n-grid")
-    p.add_argument("--a", default="auto", help="block length, or 'auto'")
+    _add_horizons(p, required=True)
+    p.add_argument("--a", type=_block_length, default="auto", help="block length, or 'auto'")
     p.add_argument("--mu-file", help="JSON file with drift thresholds for block selection")
     _add_common(p)
 
     p = sub.add_parser("curve", help="cumulative payoff against t * v*")
     _add_game_source(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--n-grid")
+    _add_horizons(p, required=True)
     _add_curve_flags(p)
-    p.add_argument("--discounted-grid", help="also emit the discounted analogue on this grid")
+    p.add_argument(
+        "--discounted-grid", type=_grid(_real), help="also emit the discounted analogue on this grid"
+    )
     _add_common(p)
 
     p = sub.add_parser("certify", help="one-horizon certification report")
     _add_game_source(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_horizon, required=True)
     _add_curve_flags(p)
     _add_common(p)
 
@@ -392,89 +437,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _int_grid(args, what: str) -> list[int]:
-    grid = []
-    if getattr(args, "n_grid", None):
-        grid = _parse_grid(args.n_grid, int, "--n-grid")
-    elif getattr(args, "n", None):
-        grid = [args.n]
-    if not grid:
-        raise InputError(f"{what} needs --n or --n-grid")
-    if any(n < 1 for n in grid):
-        raise InputError("horizons must be positive")
-    return grid
-
-
-def _curve_config(args: argparse.Namespace, config: dict) -> None:
-    config["t_grid"] = _parse_grid(args.t_grid, float, "--t-grid")
-    config["a"] = args.a if args.a == "auto" else int(args.a)
-    config["mu_file"] = args.mu_file
-    config["omega"] = args.omega
-    config["vstar_grid"] = _parse_grid(args.vstar_grid, float, "--vstar-grid")
-
-
-def _config_from_args(args: argparse.Namespace) -> dict:
-    command = args.command
-    config: dict = {"format": getattr(args, "format", "csv")}
-    if command in ("values", "adapted", "curve", "certify"):
-        config["game"] = args.game
-        config["corpus"] = args.corpus
-        config["tol"] = float(args.tol)
-        if not config["tol"] > 0:
-            raise InputError("--tol must be positive")
-        if not math.isfinite(config["tol"]):
-            raise InputError("--tol must be finite")
-    if command == "values":
-        if args.n_grid or args.n:
-            config["n_grid"] = _int_grid(args, "values")
-        if args.lambda_grid:
-            config["lambda_grid"] = _parse_grid(args.lambda_grid, float, "--lambda-grid")
-        elif args.lam is not None:
-            config["lambda_grid"] = [args.lam]
-        if not config.get("n_grid") and not config.get("lambda_grid"):
-            raise InputError("values needs --n/--n-grid and/or --lambda/--lambda-grid")
-    elif command == "adapted":
-        config["n_grid"] = _int_grid(args, "adapted")
-        config["a"] = args.a if args.a == "auto" else int(args.a)
-        config["mu_file"] = args.mu_file
-    elif command == "curve":
-        config["n_grid"] = _int_grid(args, "curve")
-        _curve_config(args, config)
-        if args.discounted_grid:
-            config["discounted_grid"] = _parse_grid(args.discounted_grid, float, "--discounted-grid")
-    elif command == "certify":
-        config["n"] = int(args.n)
-        _curve_config(args, config)
-    elif command == "gen":
-        config.update(
-            states=args.states, actions1=args.actions1, actions2=args.actions2, seed=args.seed
-        )
-    return config
-
-
-def _emit_error(exc: Exception) -> None:
-    payload = {"error": type(exc).__name__, "message": str(exc)}
-    print(json.dumps(payload), file=sys.stderr)
+def _config(args: argparse.Namespace) -> dict:
+    """A run's config: the parsed flags in flag order, without ``--out`` and unset flags."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "out") and v is not None}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
         if args.command == "rerun":
-            _cmd_rerun(args.manifest, Path(args.out))
+            _cmd_rerun(parser, args.manifest, Path(args.out))
         else:
-            config = _config_from_args(args)
-            _run_command(args.command, config, Path(args.out))
-    except ConvergenceError as exc:
-        _emit_error(exc)
-        return 3
-    except (InputError, StochGameError, OSError, json.JSONDecodeError, ValueError) as exc:
-        _emit_error(exc)
-        return 2
+            _run_command(args.command, _config(args), Path(args.out))
+    except SystemExit as exc:  # --help and --version
+        return int(exc.code) if exc.code else 0
+    except (StochGameError, OSError, ValueError) as exc:
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+        return 3 if isinstance(exc, ConvergenceError) else 2
     return 0
 
 

@@ -119,6 +119,13 @@ class PayoffTrajectory:
         return float(self.cumulative[-1])
 
 
+def _state_vector(game: StochasticGame, values, what: str) -> np.ndarray:
+    v = np.asarray(values, dtype=float)
+    if v.shape != (game.num_states,):
+        raise InputError(f"{what} must be a vector over the game's states")
+    return v
+
+
 def trajectory(
     game: StochasticGame,
     sigma,
@@ -134,11 +141,7 @@ def trajectory(
     """
     sigma, rho = _as_markov(sigma, horizon, "Player 1"), _as_markov(rho, horizon, "Player 2")
     start = game.state_index(initial_state)
-    vstar = None
-    if limit_value is not None:
-        vstar = np.asarray(limit_value, dtype=float)
-        if vstar.shape != (game.num_states,):
-            raise InputError("limit_value must be a vector over the game's states")
+    vstar = None if limit_value is None else _state_vector(game, limit_value, "limit_value")
 
     dist = point_mass(game, start)
     stage_payoffs = np.empty(horizon)
@@ -190,9 +193,9 @@ def constant_payoff_curve(
 ) -> ConstantPayoffCurve:
     """Deviation of the cumulative payoff from the linear growth t * v*(start)."""
     grid = _t_grid(t_grid)
+    vstar = _state_vector(game, limit_value, "limit_value")
     sigma, rho = _profile_strategies(profile, horizon)
     traj = trajectory(game, sigma, rho, initial_state, horizon)
-    vstar = np.asarray(limit_value, dtype=float)
     start_value = float(vstar[traj.initial_state])
     stages = tuple(cumulative_stage(t, horizon) for t in grid)
     cumulative = tuple(float(traj.cumulative[M]) for M in stages)
@@ -238,9 +241,7 @@ def expected_value_under_profile(
     """
     if not isinstance(num_stages, int) or num_stages < 1:
         raise InputError("num_stages must be a positive integer")
-    v = np.asarray(values, dtype=float)
-    if v.shape != (game.num_states,):
-        raise InputError("values must be a vector over the game's states")
+    v = _state_vector(game, values, "values")
     kernel = profile_transition_matrix(game, x, y)
     out = np.empty((num_stages, game.num_states))
     out[0] = v

@@ -189,6 +189,23 @@ class TestAdaptedCommand:
         row = read(out / "adapted.csv").strip().splitlines()[2]
         assert row.split(",")[1] == "2"  # constant-1/2 thresholds admit a = 2
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            {"thresholds": 5},
+            {"thresholds": [0.5] * 29 + ["0.5"]},
+            {"thresholds": [0.5] * 30, "approximate": "no"},
+            {"thresholds": [0.5] * 30, "approximate": 1},
+        ],
+        ids=["not-an-array", "string-entry", "approximate-string", "approximate-number"],
+    )
+    def test_malformed_mu_file_exits_2(self, content, tmp_path, capsys):
+        mu_path = tmp_path / "mu.json"
+        mu_path.write_text(json.dumps(content))
+        argv = ["adapted", "--corpus", "big_match", "--n", "12", "--mu-file", str(mu_path)]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert single_json_error(capsys)["error"] == "InputError"
+
 
 class TestCurveAndCertify:
     def test_curve_outputs_and_summary(self, tmp_path):
@@ -268,6 +285,29 @@ class TestOneSolvePerDiscount:
         assert len(solve_calls) == len(set(solve_calls))
 
 
+class TestArgumentErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["values", "--corpus", "big_match", "--n", "abc"],
+            ["values", "--corpus", "big_match", "--lambda", "x"],
+            ["values", "--corpus", "big_match", "--n", "0", "--lambda", "0.1"],
+            ["adapted", "--corpus", "big_match", "--n", "20", "--a", "x"],
+            ["values", "--corpus", "big_match", "--n", "3", "--n-grid", "4,5"],
+            ["values", "--corpus", "big_match", "--lambda", "0.1", "--lambda-grid", "0.1,0.01"],
+            ["adapted", "--corpus", "big_match", "--n", "0"],
+            ["frobnicate", "--corpus", "big_match"],
+        ],
+        ids=["n-abc", "lambda-x", "n-0", "a-x", "n-and-n-grid", "lambda-and-lambda-grid",
+             "adapted-n-0", "unknown-command"],
+    )
+    def test_bad_arguments_exit_2_with_one_json_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert single_json_error(capsys)["error"] == "InputError"
+        assert not out.exists()
+
+
 class TestExitCodes:
     def test_convergence_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         from stochgame.errors import ConvergenceError
@@ -330,6 +370,41 @@ class TestReproducibility:
         capsys.readouterr()
         assert main(["rerun", str(path), "--out", str(tmp_path / "second")]) == 2
         assert single_json_error(capsys)["error"] == "InputError"
+
+    @pytest.mark.parametrize(
+        "entries",
+        [{"tol": "x"}, {"lambda_grid": 0.5}, {"n_grid": [0, 3]}, {"tol": True}, {"extra": 1}],
+        ids=["tol-string", "lambda-grid-number", "n-grid-zero", "tol-boolean", "unknown-key"],
+    )
+    def test_mistyped_config_exits_2(self, entries, tmp_path, capsys):
+        first = tmp_path / "first"
+        assert main(["values", "--corpus", "big_match", "--lambda", "0.5", "--out", str(first)]) == 0
+        manifest = json.loads(read(first / "manifest.json"))
+        manifest["config"].update(entries)
+        path = tmp_path / "damaged.json"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["rerun", str(path), "--out", str(tmp_path / "second")]) == 2
+        assert single_json_error(capsys)["error"] == "InputError"
+
+    def test_rerun_of_a_manifest_that_records_every_flag(self, tmp_path):
+        """Older manifests list ``format`` first and record unset flags as null."""
+        first = tmp_path / "first"
+        assert main(["certify", "--corpus", "two_state_cycle", "--n", "30", "--out", str(first)]) == 0
+        config = {
+            "format": "csv", "game": None, "corpus": "two_state_cycle", "tol": 1e-8, "n": 30,
+            "t_grid": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9], "a": "auto", "mu_file": None,
+            "omega": None, "vstar_grid": [0.1, 0.01, 0.001],
+        }
+        manifest = {**json.loads(read(first / "manifest.json")), "config": config}
+        older = tmp_path / "older"
+        older.mkdir()
+        (older / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        second = tmp_path / "second"
+        assert main(["rerun", str(older / "manifest.json"), "--out", str(second)]) == 0
+        outputs = dir_snapshot(second)
+        assert outputs.pop("manifest.json") == (older / "manifest.json").read_bytes()
+        assert outputs == {name: data for name, data in dir_snapshot(first).items() if name != "manifest.json"}
 
     def test_identical_commands_identical_outputs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

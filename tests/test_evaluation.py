@@ -10,6 +10,7 @@ from stochgame import (
     certify_epsilon_optimality,
     constant_payoff_curve,
     discounted_cumulative_payoff,
+    expected_value_under_profile,
     finite_value,
     guaranteed_value,
     monte_carlo_payoff,
@@ -18,7 +19,7 @@ from stochgame import (
     trajectory,
     value_drift_diagnostic,
 )
-from stochgame.corpus import random_game, single_player_mdp
+from stochgame.corpus import big_match, random_game, single_player_mdp
 
 from oracles import (
     finite_values_recursion,
@@ -202,6 +203,21 @@ class TestConstantPayoffCurve:
         x, y = random_profile(game, 8)
         with pytest.raises(InputError):
             constant_payoff_curve(game, (x, y), 0, 10, [0.0, 0.5], np.zeros(2))
+
+    @pytest.mark.parametrize("start", ["play", "zero"])
+    def test_limit_value_needs_an_entry_per_state(self, start):
+        game = big_match().game
+        x, y = random_profile(game, 9)
+        with pytest.raises(InputError, match="limit_value must be a vector over the game's states"):
+            constant_payoff_curve(game, (x, y), start, 10, [0.5], [0.5])
+
+    def test_trajectory_and_expected_value_share_the_check(self):
+        game = big_match().game
+        x, y = random_profile(game, 9)
+        with pytest.raises(InputError, match="limit_value must be a vector over the game's states"):
+            trajectory(game, x, y, "play", 10, limit_value=[0.5])
+        with pytest.raises(InputError, match="values must be a vector over the game's states"):
+            expected_value_under_profile(game, x, y, [0.5], 10)
 
 
 class TestDiscountedCumulativePayoff:
