@@ -6,7 +6,7 @@ certificate gap bounds how far either strategy can be from optimal.
 """
 import numpy as np
 
-from stochgame import solve_matrix_game, value_only
+from stochgame import solve_batch, solve_matrix_game
 
 examples = {
     "matching pennies": [[1.0, -1.0], [-1.0, 1.0]],
@@ -27,5 +27,6 @@ worst = 0.0
 for _ in range(500):
     A = rng.uniform(-2, 2, (3, 3))
     B = A + rng.uniform(-0.1, 0.1, (3, 3))
-    worst = max(worst, abs(value_only(A) - value_only(B)) - np.abs(A - B).max())
+    value_a, value_b = solve_batch(np.stack([A, B]))[0]
+    worst = max(worst, abs(value_a - value_b) - np.abs(A - B).max())
 print(f"\nLipschitz slack over 500 perturbed pairs (should be <= ~0): {worst:.2e}")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -343,6 +344,7 @@ def _checked(kind, requirement: str, ok=lambda value: True):
 
 _real = _checked(float, "expected a number")
 _horizon = _checked(int, "horizons must be positive integers", lambda n: n >= 1)
+_seed = _checked(int, "must be a non-negative integer", lambda n: n >= 0)
 _tol = _checked(float, "must be a positive finite number", lambda t: t > 0 and math.isfinite(t))
 _block_length = _checked(lambda s: s if s == "auto" else int(s), "must be 'auto' or an integer")
 
@@ -427,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--states", type=int, required=True)
     p.add_argument("--actions1", type=int, required=True)
     p.add_argument("--actions2", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="json")
 
@@ -437,13 +439,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built once per process on first use."""
+    return build_parser()
+
+
 def _config(args: argparse.Namespace) -> dict:
     """A run's config: the parsed flags in flag order, without ``--out`` and unset flags."""
     return {k: v for k, v in vars(args).items() if k not in ("command", "out") and v is not None}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.command == "rerun":

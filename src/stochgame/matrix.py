@@ -1,5 +1,10 @@
 """Exact solver for one-shot zero-sum matrix games.
 
+:func:`solve_batch` solves stacks of local games; each item takes the first
+path that applies: a pure saddle point, read off with pure strategies; on
+2x2 stacks, the Shapley & Snow (1950) closed form with its equalizing
+strategies; otherwise :func:`solve_matrix_game`, the simplex below.
+
 The LP route follows the classical normalization, made scale-free: map the
 matrix affinely onto ``(M - min M) / (max M - min M) + 1`` (a span of 1 is
 used when every entry is equal), so the entries lie in [1, 2] whatever the
@@ -122,39 +127,40 @@ def solve_matrix_game(matrix) -> MatrixGameSolution:
     return MatrixGameSolution(value, row_strategy, col_strategy, gap)
 
 
-def value_only(matrix) -> float:
-    """Game value without strategy extraction: :func:`value_batch` on one matrix."""
-    return float(value_batch(_as_matrix(matrix)[None])[0])
+def solve_batch(stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values and optimal strategies of a stack of matrix games.
 
-
-def value_batch(tensors: np.ndarray) -> np.ndarray:
-    """Values of a stack of matrices, shape (batch, rows, cols) -> (batch,).
-
-    Vectorizes the saddle test and the 2x2 closed form across the batch;
-    only matrices needing it hit the per-item simplex.  This is the inner
-    kernel of backward induction, so it has to stay allocation-light.
+    ``stack`` has shape (batch, rows, cols); returns the values (batch,), the
+    row strategies (batch, rows) and the column strategies (batch, cols).
+    This is the inner kernel of every Shapley application and of backward
+    induction, so it has to stay allocation-light.
     """
-    L = np.asarray(tensors, dtype=float)
+    L = np.asarray(stack, dtype=float)
     if L.ndim != 3:
         raise InputError("expected a (batch, rows, cols) stack of matrices")
-    maxmin = L.min(axis=2).max(axis=1)
-    minmax = L.max(axis=1).min(axis=1)
-    values = maxmin.copy()
-    mixed = maxmin != minmax
-    if not mixed.any():
-        return values
     if L.shape[1:] == (2, 2):
-        a = L[:, 0, 0]
-        b = L[:, 0, 1]
-        c = L[:, 1, 0]
-        d = L[:, 1, 1]
+        # elementwise: reductions over length-2 axes cost several times more than np.minimum
+        a, b, c, d = L[:, 0, 0], L[:, 0, 1], L[:, 1, 0], L[:, 1, 1]
+        row0, row1, col0, col1 = np.minimum(a, b), np.minimum(c, d), np.maximum(a, c), np.maximum(b, d)
+        values = np.maximum(row0, row1)
+        mixed = values != np.minimum(col0, col1)
+        # No saddle means both entries of one diagonal exceed both of the other: a - b, d - c,
+        # a - c and d - b share one strict sign, so no denominator vanishes where mixed.
+        ab, ac, dc, db = a - b, a - c, d - c, d - b
+        denom = ab + dc
         # (ad - bc) / (a + d - b - c) in shift-invariant form: no cancellation
         # when the entries nearly coincide
-        ab, ac = a - b, a - c
-        denom = ab + (d - c)
-        safe = mixed & (denom != 0.0)
-        values[safe] = a[safe] - ab[safe] * ac[safe] / denom[safe]
-        mixed = mixed & ~safe
-    for idx in np.nonzero(mixed)[0]:
-        values[idx] = solve_matrix_game(L[idx]).value
-    return values
+        shift = np.divide(ab * ac, denom, out=np.zeros_like(a), where=mixed)
+        np.subtract(a, shift, out=values, where=mixed)
+        x0 = np.divide(dc, denom, out=(row0 >= row1) * 1.0, where=mixed)
+        y0 = np.divide(db, ac + db, out=(col0 <= col1) * 1.0, where=mixed)
+        return values, np.array([x0, 1.0 - x0]).T, np.array([y0, 1.0 - y0]).T
+    row_min, col_max = L.min(axis=2), L.max(axis=1)
+    values = row_min.max(axis=1)
+    # at a saddle: the first row attaining max(row minima), the first column min(column maxima)
+    xs = (np.arange(L.shape[1]) == row_min.argmax(axis=1)[:, None]) * 1.0
+    ys = (np.arange(L.shape[2]) == col_max.argmin(axis=1)[:, None]) * 1.0
+    for k in np.nonzero(values != col_max.min(axis=1))[0]:
+        sol = solve_matrix_game(L[k])
+        values[k], xs[k], ys[k] = sol.value, sol.row_strategy, sol.col_strategy
+    return values, xs, ys

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InputError
 from .game import MarkovStrategy, StationaryStrategy, StochasticGame
-from .matrix import solve_matrix_game, value_batch
+from .matrix import solve_batch
 
 #: Player 2's policy switches only on a gain above this share of max|g|, so
 #: rounding ties cannot make policy iteration cycle
@@ -85,21 +85,10 @@ def local_game_tensor(game: StochasticGame, discount: float, continuation: np.nd
     return discount * game.payoff + (1.0 - discount) * cont
 
 
-def _solve_local_games(local: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values and optimal row and column strategies of a stack of local games."""
-    solutions = [solve_matrix_game(matrix) for matrix in local]
-    values = np.array([sol.value for sol in solutions])
-    xs = np.array([sol.row_strategy for sol in solutions])
-    ys = np.array([sol.col_strategy for sol in solutions])
-    return values, xs, ys
-
-
-def _check_discount(discount: float, *, allow_one: bool = True) -> float:
+def _check_discount(discount: float) -> float:
     discount = float(discount)
-    upper_ok = discount <= 1.0 if allow_one else discount < 1.0
-    if not (0.0 < discount and upper_ok):
-        bound = "(0, 1]" if allow_one else "(0, 1)"
-        raise InputError(f"discount must lie in {bound}, got {discount!r}")
+    if not 0.0 < discount <= 1.0:
+        raise InputError(f"discount must lie in (0, 1], got {discount!r}")
     return discount
 
 
@@ -109,7 +98,7 @@ def shapley_operator(game: StochasticGame, discount: float, values) -> np.ndarra
     v = np.asarray(values, dtype=float)
     if v.shape != (game.num_states,) or not np.isfinite(v).all():
         raise InputError("values must be a finite vector over the game's states")
-    return value_batch(local_game_tensor(game, discount, v))
+    return solve_batch(local_game_tensor(game, discount, v))[0]
 
 
 def default_iteration_cap(game: StochasticGame, discount: float, tol: float) -> int:
@@ -174,7 +163,7 @@ def discounted_value(
     while iterations < cap and v.tobytes() not in seen:
         seen.add(v.tobytes())
         iterations += 1
-        applied, xs, ys = _solve_local_games(local_game_tensor(game, discount, v))
+        applied, xs, ys = solve_batch(local_game_tensor(game, discount, v))
         residual = float(np.abs(applied - v).max())
         if residual <= target:
             x, y = StationaryStrategy(xs), StationaryStrategy(ys)
@@ -209,34 +198,30 @@ def discounted_value(
     )
 
 
-def _backward_induction(game: StochasticGame, horizon: int, with_strategies: bool):
-    """The (n, states) table v_1..v_n, plus, if asked, the optimal local
-    strategies of each player indexed by r - 1 for r stages remaining."""
+def _check_horizon(horizon) -> int:
     if not isinstance(horizon, int) or horizon < 1:
         raise InputError("horizon must be a positive integer")
-    values = np.empty((horizon, game.num_states))
-    xs_by_remaining: list[StationaryStrategy] = []
-    ys_by_remaining: list[StationaryStrategy] = []
+    return horizon
+
+
+def _backward_induction(game: StochasticGame, horizon: int):
+    """Yield v_r and both players' optimal local strategies, for r = 1..n
+    stages remaining; the caller keeps what it needs."""
     v = np.zeros(game.num_states)
     for r in range(1, horizon + 1):
-        local = local_game_tensor(game, 1.0 / r, v)
-        if with_strategies:
-            v, xs, ys = _solve_local_games(local)
-            xs_by_remaining.append(StationaryStrategy(xs))
-            ys_by_remaining.append(StationaryStrategy(ys))
-        else:
-            v = value_batch(local)
-        values[r - 1] = v
-    return values, xs_by_remaining, ys_by_remaining
+        v, xs, ys = solve_batch(local_game_tensor(game, 1.0 / r, v))
+        yield v, xs, ys
 
 
 def finite_values(game: StochasticGame, horizon: int) -> np.ndarray:
     """Values v_1..v_n of the 1..n stage games, shape (n, states).
 
-    Value-only backward induction; use :func:`finite_value` when the optimal
-    Markov strategies are needed as well.
+    The values of :func:`finite_value` without keeping the strategies.
     """
-    return _backward_induction(game, horizon, with_strategies=False)[0]
+    values = np.empty((_check_horizon(horizon), game.num_states))
+    for row, (v, _, _) in zip(values, _backward_induction(game, horizon)):
+        row[:] = v
+    return values
 
 
 def finite_value(game: StochasticGame, horizon: int) -> FiniteHorizonSolution:
@@ -246,13 +231,12 @@ def finite_value(game: StochasticGame, horizon: int) -> FiniteHorizonSolution:
     local game with r = n - m + 1 remaining stages, i.e. the strategies
     realize the backward-induction solution.
     """
-    values, xs_by_remaining, ys_by_remaining = _backward_induction(game, horizon, with_strategies=True)
+    # wrap each stage as it comes, so the kernel's arrays are not held twice
+    stages = _backward_induction(game, _check_horizon(horizon))
+    values, xs, ys = zip(*((v, StationaryStrategy(x), StationaryStrategy(y)) for v, x, y in stages))
     # stage m plays the solution with n - m + 1 stages remaining
     return FiniteHorizonSolution(
-        horizon,
-        values,
-        MarkovStrategy.from_stages(xs_by_remaining[::-1]),
-        MarkovStrategy.from_stages(ys_by_remaining[::-1]),
+        horizon, np.array(values), MarkovStrategy.from_stages(xs[::-1]), MarkovStrategy.from_stages(ys[::-1])
     )
 
 

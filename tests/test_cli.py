@@ -297,9 +297,10 @@ class TestArgumentErrors:
             ["values", "--corpus", "big_match", "--lambda", "0.1", "--lambda-grid", "0.1,0.01"],
             ["adapted", "--corpus", "big_match", "--n", "0"],
             ["frobnicate", "--corpus", "big_match"],
+            ["gen", "--states", "2", "--actions1", "2", "--actions2", "2", "--seed", "-1"],
         ],
         ids=["n-abc", "lambda-x", "n-0", "a-x", "n-and-n-grid", "lambda-and-lambda-grid",
-             "adapted-n-0", "unknown-command"],
+             "adapted-n-0", "unknown-command", "gen-seed-negative"],
     )
     def test_bad_arguments_exit_2_with_one_json_error(self, argv, tmp_path, capsys):
         out = tmp_path / "o"

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stochgame import InputError, solve_matrix_game, value_batch, value_only
+from stochgame import InputError, solve_batch, solve_matrix_game
 
 from oracles import support_enumeration_solve, support_enumeration_value
 
@@ -12,6 +12,11 @@ from oracles import support_enumeration_solve, support_enumeration_value
 def random_matrix(rng, max_side=4, span=5.0):
     m, n = rng.integers(1, max_side + 1, size=2)
     return rng.uniform(-span, span, size=(m, n))
+
+
+def value_only(matrix) -> float:
+    """The batched kernel's value of one matrix, as a one-item stack."""
+    return float(solve_batch(np.asarray(matrix, dtype=float)[None])[0][0])
 
 
 class TestSolve:
@@ -60,7 +65,7 @@ class TestSolve:
         with pytest.raises(InputError, match="not finite"):
             solve_matrix_game([[1.0, np.inf]])
         with pytest.raises(InputError):
-            value_only([[np.nan]])
+            solve_batch([[[np.nan]]])
 
     def test_deterministic_re_solve(self):
         M = np.random.default_rng(7).uniform(-2, 2, (4, 4))
@@ -91,16 +96,57 @@ class TestValueOnly:
     def test_batch_matches_scalar_path(self):
         rng = np.random.default_rng(5)
         stack = rng.uniform(-3, 3, size=(40, 2, 2))
-        batch = value_batch(stack)
+        batch = solve_batch(stack)[0]
         for k in range(40):
             assert batch[k] == pytest.approx(value_only(stack[k]), abs=1e-13)
 
     def test_batch_general_shape(self):
         rng = np.random.default_rng(6)
         stack = rng.uniform(-3, 3, size=(10, 3, 4))
-        batch = value_batch(stack)
+        batch = solve_batch(stack)[0]
         for k in range(10):
             assert batch[k] == pytest.approx(value_only(stack[k]), abs=1e-10)
+
+
+class TestSolveBatch:
+    @staticmethod
+    def check(stack, oracle_stack, scale=1.0):
+        """Each item against support enumeration on the unscaled matrix."""
+        values, xs, ys = solve_batch(stack)
+        assert values.shape == (len(stack),)
+        assert xs.shape == stack.shape[:2] and ys.shape == (len(stack), stack.shape[2])
+        tol = 1e-12 * scale
+        for M, oracle_M, value, x, y in zip(stack, oracle_stack, values, xs, ys):
+            assert abs(value - scale * support_enumeration_value(oracle_M)) <= tol
+            for strat in (x, y):
+                assert strat.min() >= -1e-15
+                assert abs(strat.sum() - 1.0) <= 1e-15
+            assert (x @ M).min() >= value - tol
+            assert (M @ y).max() <= value + tol
+
+    def test_2x2_uniform(self):
+        stack = np.random.default_rng(31).uniform(-1.0, 1.0, size=(300, 2, 2))
+        self.check(stack, stack)
+
+    def test_2x2_saddles_ties_and_constants(self):
+        # small integer entries: pure saddles, tied rows and columns, constant matrices
+        stack = np.random.default_rng(32).integers(-1, 2, size=(300, 2, 2)).astype(float)
+        assert any((M == M[0, 0]).all() for M in stack)
+        self.check(stack, stack)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (6, 6)])
+    def test_general_shapes(self, shape):
+        stack = np.random.default_rng(33).uniform(-1.0, 1.0, size=(30, *shape))
+        self.check(stack, stack)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e6, 1e9])
+    def test_2x2_payoff_scale(self, scale):
+        stack = np.random.default_rng(34).uniform(-1.0, 1.0, size=(300, 2, 2))
+        self.check(scale * stack, stack, scale)
+
+    def test_stack_must_be_three_dimensional(self):
+        with pytest.raises(InputError, match="stack"):
+            solve_batch(np.zeros((2, 2)))
 
 
 class TestInvariants:

@@ -198,14 +198,19 @@ class TestSmallDiscounts:
                 assert discounted_value(game, discount, tol=1e-8).iterations <= 50
 
     def test_profile_solves_local_games_at_the_value(self):
-        game = random_game(5, 3, 3, seed=1).game
-        sol = discounted_value(game, 1e-4, tol=1e-8)
-        local = local_game_tensor(game, 1e-4, sol.value)
-        for s in range(game.num_states):
-            value, _, _ = support_enumeration_solve(local[s])
-            assert value == pytest.approx(sol.value[s], abs=1e-11)
-            assert (sol.x.probs[s] @ local[s]).min() >= value - 1e-11
-            assert (local[s] @ sol.y.probs[s]).max() <= value + 1e-11
+        # tol * discount = 1e-12 in both cases, so the residual stays below the tolerance
+        cases = (
+            (random_game(5, 3, 3, seed=1).game, 1e-4, 1e-8),
+            (random_game(40, 2, 2, seed=1).game, 0.05, 2e-11),
+        )
+        for game, discount, tol in cases:
+            sol = discounted_value(game, discount, tol=tol)
+            local = local_game_tensor(game, discount, sol.value)
+            for s in range(game.num_states):
+                value, _, _ = support_enumeration_solve(local[s])
+                assert value == pytest.approx(sol.value[s], abs=1e-11)
+                assert (sol.x.probs[s] @ local[s]).min() >= value - 1e-11
+                assert (local[s] @ sol.y.probs[s]).max() <= value + 1e-11
 
     def test_operator_confirms_small_discount_solve(self):
         # the operator's 2x2 closed form must not cancel when a local game's
@@ -256,6 +261,11 @@ class TestFiniteValue:
     def test_values_only_path_matches_full_solve(self):
         game = random_game(2, 2, 2, seed=12).game
         np.testing.assert_allclose(finite_values(game, 6), finite_value(game, 6).values, atol=1e-10)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (40, 2, 2), (5, 3, 3), (8, 6, 6)])
+    def test_values_only_path_is_the_full_solve(self, shape):
+        game = random_game(*shape, seed=12).game
+        assert np.array_equal(finite_values(game, 50), finite_value(game, 50).values)
 
     def test_decision_problem_matches_dp_oracle(self):
         game = single_player_mdp().game
