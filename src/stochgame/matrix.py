@@ -3,7 +3,15 @@
 :func:`solve_batch` solves stacks of local games; each item takes the first
 path that applies: a pure saddle point, read off with pure strategies; on
 2x2 stacks, the Shapley & Snow (1950) closed form with its equalizing
-strategies; otherwise :func:`solve_matrix_game`, the simplex below.
+strategies; given a hint, the Shapley & Snow basic solution on the hinted
+supports; otherwise :func:`solve_matrix_game`, the simplex below.
+
+A hint is the strategies of a neighbouring stack, such as the previous stage
+of backward induction.  Items whose hinted supports have equal size are
+solved as square equalizer systems in one stacked ``np.linalg.solve``, and
+accepted only with nonnegative strategies and a certificate gap of at most
+:data:`_KERNEL_GAP` in normalized units; the rest fall back to the simplex,
+so a hint can cost time but not accuracy.
 
 The LP route follows the classical normalization, made scale-free: map the
 matrix affinely onto ``(M - min M) / (max M - min M) + 1`` (a span of 1 is
@@ -26,7 +34,7 @@ row strategy's guaranteed floor and to the column strategy's guaranteed
 ceiling.
 
 Matrices here are tiny (a few actions per player), which is why a robust
-dense tableau beats anything asymptotically clever.
+dense tableau beats anything asymptotically clever on the items no hint settles.
 """
 from __future__ import annotations
 
@@ -40,6 +48,8 @@ from .errors import InputError
 _PIVOT_TOL = 1e-11
 #: hard iteration cap; unreachable with Bland's rule on these sizes
 _MAX_PIVOTS = 100_000
+#: largest certificate gap, in normalized units, at which a hinted solution is accepted
+_KERNEL_GAP = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,13 +68,15 @@ class MatrixGameSolution:
     certificate_gap: float
 
 
-def _as_matrix(matrix) -> np.ndarray:
+def _as_matrix(matrix, ndim: int = 2) -> np.ndarray:
+    """``matrix`` as a float array, checked: a matrix, or with ``ndim=3`` a stack of them."""
     M = np.asarray(matrix, dtype=float)
-    if M.ndim != 2 or M.shape[0] < 1 or M.shape[1] < 1:
-        raise InputError("matrix must be 2-dimensional with at least one row and column")
-    if not np.isfinite(M).all():
-        i, j = np.unravel_index(int(np.argmin(np.isfinite(M))), M.shape)
-        raise InputError(f"matrix entry at ({i}, {j}) is not finite")
+    if M.ndim != ndim or 0 in M.shape[-2:]:
+        shape = "a (batch, rows, cols) stack" if ndim == 3 else "2-dimensional"
+        raise InputError(f"matrix must be {shape} with at least one row and column")
+    if np.count_nonzero(np.isfinite(M)) != M.size:  # half the cost of .all() on small stacks
+        index = np.unravel_index(int(np.argmin(np.isfinite(M))), M.shape)
+        raise InputError(f"matrix entry at ({', '.join(map(str, index))}) is not finite")
     return M
 
 
@@ -127,17 +139,51 @@ def solve_matrix_game(matrix) -> MatrixGameSolution:
     return MatrixGameSolution(value, row_strategy, col_strategy, gap)
 
 
-def solve_batch(stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _hinted(L: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """Mask of the items solved on their nonempty, equal-size hinted supports (boolean
+    ``rows``, ``cols``), and their values and strategies; ``LinAlgError`` if one is singular."""
+    size = rows.sum(axis=1)
+    hit = (size > 0) & (size == cols.sum(axis=1))
+    L, on = L[hit], np.concatenate([rows[hit], cols[hit]], axis=1)
+    b, m, n = L.shape
+    low = L.min(axis=(1, 2))
+    span = L.max(axis=(1, 2)) - low  # positive: a constant matrix is a saddle
+    N = (L - low[:, None, None]) / span[:, None, None]
+    # unknowns (x, y, v_row, v_col): N[i] y = v_col for i in the row support and
+    # x N[:, j] = v_row for j in the column support, the strategy entries off the
+    # supports are zero, and each strategy sums to one
+    A = np.zeros((b, m + n + 2, m + n + 2))
+    A[:, :m, m:-2], A[:, m:-2, :m] = N, N.transpose(0, 2, 1)
+    A[:, :m, -1] = A[:, m:-2, -2] = -1.0
+    A[:, :-2] *= on[:, :, None]
+    A[:, :-2, :-2] += ~on[:, :, None] * np.eye(m + n)
+    A[:, -2, :m] = A[:, -1, m:-2] = 1.0
+    rhs = (np.arange(m + n + 2) >= m + n) * 1.0
+    z = np.linalg.solve(A, rhs[None, :, None])[..., 0]
+    # exact zeros off the supports, so the next hint's supports do not grow
+    xy, v = np.where(on, z[:, :-2], 0.0), z[:, -2]
+    x, y = xy[:, :m], xy[:, m:]
+    gap = np.maximum(v - np.einsum("bi,bij->bj", x, N).min(axis=1), np.einsum("bij,bj->bi", N, y).max(axis=1) - v)
+    ok = (xy >= 0.0).all(axis=1) & (gap <= _KERNEL_GAP)
+    hit[hit] = ok
+    return hit, low[ok] + span[ok] * v[ok], x[ok], y[ok]
+
+
+def solve_batch(stack, hint=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Values and optimal strategies of a stack of matrix games.
 
     ``stack`` has shape (batch, rows, cols); returns the values (batch,), the
     row strategies (batch, rows) and the column strategies (batch, cols).
-    This is the inner kernel of every Shapley application and of backward
-    induction, so it has to stay allocation-light.
+    ``hint`` is None or such a pair for a neighbouring stack (see the module
+    docstring).  This inner kernel of every Shapley application and of backward
+    induction has to stay allocation-light.
     """
-    L = np.asarray(stack, dtype=float)
-    if L.ndim != 3:
-        raise InputError("expected a (batch, rows, cols) stack of matrices")
+    L = _as_matrix(stack, ndim=3)
+    if hint is not None and (  # getattr: np.shape would double this check's cost per call
+        len(hint) != 2 or getattr(hint[0], "shape", None) != L.shape[:2]
+        or getattr(hint[1], "shape", None) != (len(L), L.shape[2])
+    ):
+        raise InputError("hint must be a pair of (batch, rows) and (batch, cols) strategy arrays")
     if L.shape[1:] == (2, 2):
         # elementwise: reductions over length-2 axes cost several times more than np.minimum
         a, b, c, d = L[:, 0, 0], L[:, 0, 1], L[:, 1, 0], L[:, 1, 1]
@@ -160,7 +206,16 @@ def solve_batch(stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # at a saddle: the first row attaining max(row minima), the first column min(column maxima)
     xs = (np.arange(L.shape[1]) == row_min.argmax(axis=1)[:, None]) * 1.0
     ys = (np.arange(L.shape[2]) == col_max.argmin(axis=1)[:, None]) * 1.0
-    for k in np.nonzero(values != col_max.min(axis=1))[0]:
+    todo = np.nonzero(values != col_max.min(axis=1))[0]
+    if hint is not None and todo.size:
+        try:
+            hit, *solved = _hinted(L[todo], hint[0][todo] > 0, hint[1][todo] > 0)
+        except np.linalg.LinAlgError:  # a singular hinted support: every hinted item falls back
+            pass
+        else:
+            values[todo[hit]], xs[todo[hit]], ys[todo[hit]] = solved
+            todo = todo[~hit]
+    for k in todo:
         sol = solve_matrix_game(L[k])
         values[k], xs[k], ys[k] = sol.value, sol.row_strategy, sol.col_strategy
     return values, xs, ys

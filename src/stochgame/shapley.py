@@ -160,10 +160,13 @@ def discounted_value(
     iterations = 0
     # the steps are deterministic, so a repeated iterate would cycle until the cap
     seen: set[bytes] = set()
+    hint = None
     while iterations < cap and v.tobytes() not in seen:
         seen.add(v.tobytes())
         iterations += 1
-        applied, xs, ys = solve_batch(local_game_tensor(game, discount, v))
+        # the previous outer step's strategies hint the local games' supports
+        applied, xs, ys = solve_batch(local_game_tensor(game, discount, v), hint)
+        hint = xs, ys
         residual = float(np.abs(applied - v).max())
         if residual <= target:
             x, y = StationaryStrategy(xs), StationaryStrategy(ys)
@@ -207,9 +210,11 @@ def _check_horizon(horizon) -> int:
 def _backward_induction(game: StochasticGame, horizon: int):
     """Yield v_r and both players' optimal local strategies, for r = 1..n
     stages remaining; the caller keeps what it needs."""
-    v = np.zeros(game.num_states)
+    v, hint = np.zeros(game.num_states), None
     for r in range(1, horizon + 1):
-        v, xs, ys = solve_batch(local_game_tensor(game, 1.0 / r, v))
+        # the previous stage's strategies hint this stage's supports
+        v, xs, ys = solve_batch(local_game_tensor(game, 1.0 / r, v), hint)
+        hint = xs, ys
         yield v, xs, ys
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from stochgame import corpus
+from stochgame import corpus, matrix
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GAMES_DIR = REPO_ROOT / "games"
@@ -30,6 +30,15 @@ def cycle_entry():
 @pytest.fixture(scope="session")
 def games_dir() -> Path:
     return GAMES_DIR
+
+
+@pytest.fixture
+def simplex_calls(monkeypatch):
+    """The matrices that reach the per-item simplex, recorded as they are solved."""
+    calls = []
+    real = matrix.solve_matrix_game
+    monkeypatch.setattr(matrix, "solve_matrix_game", lambda M: calls.append(M) or real(M))
+    return calls
 
 
 def pytest_runtest_logreport(report):

@@ -14,6 +14,10 @@ def random_matrix(rng, max_side=4, span=5.0):
     return rng.uniform(-span, span, size=(m, n))
 
 
+def oracle_values(stack) -> list[float]:
+    return [support_enumeration_value(M) for M in stack]
+
+
 def value_only(matrix) -> float:
     """The batched kernel's value of one matrix, as a one-item stack."""
     return float(solve_batch(np.asarray(matrix, dtype=float)[None])[0][0])
@@ -110,14 +114,14 @@ class TestValueOnly:
 
 class TestSolveBatch:
     @staticmethod
-    def check(stack, oracle_stack, scale=1.0):
-        """Each item against support enumeration on the unscaled matrix."""
-        values, xs, ys = solve_batch(stack)
+    def check(stack, oracle_values, scale=1.0, hint=None):
+        """Each item against the support-enumeration values of the unscaled matrices."""
+        values, xs, ys = solve_batch(stack, hint)
         assert values.shape == (len(stack),)
         assert xs.shape == stack.shape[:2] and ys.shape == (len(stack), stack.shape[2])
         tol = 1e-12 * scale
-        for M, oracle_M, value, x, y in zip(stack, oracle_stack, values, xs, ys):
-            assert abs(value - scale * support_enumeration_value(oracle_M)) <= tol
+        for M, oracle, value, x, y in zip(stack, oracle_values, values, xs, ys):
+            assert abs(value - scale * oracle) <= tol
             for strat in (x, y):
                 assert strat.min() >= -1e-15
                 assert abs(strat.sum() - 1.0) <= 1e-15
@@ -126,27 +130,101 @@ class TestSolveBatch:
 
     def test_2x2_uniform(self):
         stack = np.random.default_rng(31).uniform(-1.0, 1.0, size=(300, 2, 2))
-        self.check(stack, stack)
+        self.check(stack, oracle_values(stack))
 
     def test_2x2_saddles_ties_and_constants(self):
         # small integer entries: pure saddles, tied rows and columns, constant matrices
         stack = np.random.default_rng(32).integers(-1, 2, size=(300, 2, 2)).astype(float)
         assert any((M == M[0, 0]).all() for M in stack)
-        self.check(stack, stack)
+        self.check(stack, oracle_values(stack))
 
     @pytest.mark.parametrize("shape", [(3, 4), (6, 6)])
     def test_general_shapes(self, shape):
         stack = np.random.default_rng(33).uniform(-1.0, 1.0, size=(30, *shape))
-        self.check(stack, stack)
+        self.check(stack, oracle_values(stack))
 
     @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e6, 1e9])
     def test_2x2_payoff_scale(self, scale):
         stack = np.random.default_rng(34).uniform(-1.0, 1.0, size=(300, 2, 2))
-        self.check(scale * stack, stack, scale)
+        self.check(scale * stack, oracle_values(stack), scale)
 
     def test_stack_must_be_three_dimensional(self):
         with pytest.raises(InputError, match="stack"):
             solve_batch(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("shape", [(1, 0, 2), (1, 2, 0), (3, 0, 0), (1, 0, 5)])
+    def test_empty_action_sets_rejected(self, shape):
+        with pytest.raises(InputError, match="at least one row and column"):
+            solve_batch(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 2, 2), (3, 3, 4)])
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, shape, entry):
+        # a 2x2 item once came back as NaN, or with a finite value ignoring the inf
+        stack = np.ones(shape)
+        stack[-1, 0, -1] = entry
+        with pytest.raises(InputError, match=f"entry at \\({shape[0] - 1}, 0, {shape[2] - 1}\\) is not finite"):
+            solve_batch(stack)
+
+    @pytest.mark.parametrize(
+        "hint",
+        [
+            (np.ones((4, 3)), np.ones((4, 3))),
+            (np.ones((4, 3)),),
+            (np.ones(3), np.ones(4)),
+            (np.ones((4, 3)), np.ones((5, 4))),
+            ([[0.5] * 3] * 4, [[0.5] * 4] * 4),  # strategies come as arrays
+        ],
+    )
+    def test_hint_shapes_checked(self, hint):
+        with pytest.raises(InputError, match="hint"):
+            solve_batch(np.ones((4, 3, 4)), hint)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 4)])
+    def test_hint_leaves_saddles_and_2x2_items_alone(self, shape):
+        # small integer entries: many pure saddles; the hinted kernel runs on the other items
+        stack = np.random.default_rng(36).integers(-1, 2, size=(200, *shape)).astype(float)
+        hint = np.zeros(stack.shape[:2]), np.zeros((200, shape[1]))
+        hint[0][:, :2] = hint[1][:, :2] = 0.5
+        plain, hinted = solve_batch(stack), solve_batch(stack, hint)
+        saddle = stack.min(axis=2).max(axis=1) == stack.max(axis=1).min(axis=1)
+        assert 0 < saddle.sum() < 200
+        keep = saddle | (shape == (2, 2))
+        for a, b in zip(plain, hinted):
+            assert np.array_equal(a[keep], b[keep])
+
+    @pytest.mark.parametrize(
+        "shape, scale", [((3, 4), 1.0), ((6, 6), 1.0), ((2, 5), 1.0), ((6, 6), 1e-9), ((6, 6), 1e9)]
+    )
+    def test_hinted_stacks(self, shape, scale, simplex_calls):
+        rng = np.random.default_rng(37)
+        (m, n), batch = shape, 20
+        stack = rng.uniform(-1.0, 1.0, size=(batch, m, n))
+        # two equal rows, both in the hinted supports: the stacked solve is singular
+        twin = stack.copy()
+        twin[:, 1] = twin[:, 0]
+        optimal = [support_enumeration_solve(M) for M in stack]
+        random = np.zeros((batch, m)), np.zeros((batch, n))
+        for x, y in zip(*random):
+            size = rng.integers(1, min(shape) + 1)
+            x[rng.permutation(m)[:size]], y[rng.permutation(n)[:size]] = rng.random(size), rng.random(size)
+        first_two = np.zeros((batch, m)), np.zeros((batch, n))
+        first_two[0][:, :2] = first_two[1][:, :2] = 0.5
+        first_row = np.zeros((batch, m))
+        first_row[:, 0] = 1.0
+        hints = {
+            "optimal": (stack, np.array([x for _, x, _ in optimal]), np.array([y for _, _, y in optimal])),
+            "random": (stack, *random),
+            "unequal": (stack, first_row, first_two[1]),
+            "singular": (twin, *first_two),
+            "zero": (stack, np.zeros((batch, m)), np.zeros((batch, n))),
+        }
+        expected = {id(stack): [v for v, _, _ in optimal], id(twin): oracle_values(twin)}
+        for kind, (base, *hint) in hints.items():
+            simplex_calls.clear()
+            self.check(scale * base, expected[id(base)], scale, hint)
+            if kind == "optimal":
+                assert not simplex_calls  # every mixed item is settled by its optimal supports
 
 
 class TestInvariants:

@@ -275,17 +275,20 @@ class TestFiniteValue:
             np.testing.assert_allclose(got[m], oracle[m], atol=1e-12)
 
     def test_strategy_stage_actions_solve_local_games(self):
-        game = random_game(2, 2, 2, seed=5).game
-        n = 4
-        sol = finite_value(game, n)
-        v_prev = np.zeros(2)
-        for r in range(1, n + 1):
-            local = local_game_tensor(game, 1.0 / r, v_prev)
-            stage = n - r + 1
-            for s in range(2):
-                guarantee = (sol.x_strategies.at_stage(stage).probs[s] @ local[s]).min()
-                assert guarantee >= sol.values[r - 1][s] - 1e-9
-            v_prev = sol.values[r - 1]
+        # 8x6x6: most stages are solved on the previous stage's supports
+        for shape, n in (((2, 2, 2), 4), ((8, 6, 6), 40)):
+            game = random_game(*shape, seed=5).game
+            sol = finite_value(game, n)
+            v_prev = np.zeros(shape[0])
+            for r in range(1, n + 1):
+                local = local_game_tensor(game, 1.0 / r, v_prev)
+                stage = n - r + 1
+                for s in range(shape[0]):
+                    guarantee = (sol.x_strategies.at_stage(stage).probs[s] @ local[s]).min()
+                    assert guarantee >= sol.values[r - 1][s] - 1e-9
+                    ceiling = (local[s] @ sol.y_strategies.at_stage(stage).probs[s]).max()
+                    assert ceiling <= sol.values[r - 1][s] + 1e-9
+                v_prev = sol.values[r - 1]
 
     def test_bounded_by_max_payoff(self):
         from stochgame.corpus import CORPUS
@@ -294,6 +297,21 @@ class TestFiniteValue:
         pool += [ctor().game for ctor in CORPUS.values()]
         for game in pool:
             assert np.abs(finite_values(game, 15)).max() <= game.max_abs_payoff + 1e-12
+
+
+class TestKernelHints:
+    """Each backward-induction stage and each strategy-iteration step hints the
+    next one's supports, so the simplex runs only where an optimal support changes."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_backward_induction(self, seed, simplex_calls):
+        finite_values(random_game(8, 6, 6, seed=seed).game, 150)
+        assert len(simplex_calls) <= 32  # of 1,200 local games
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_strategy_iteration(self, seed, simplex_calls):
+        discounted_value(random_game(8, 6, 6, seed=seed).game, 1e-3)
+        assert len(simplex_calls) <= 16  # the first step's 8 local games, and a few more
 
 
 class TestLimitValue:
