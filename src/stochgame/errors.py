@@ -26,9 +26,9 @@ class InvalidGameError(InputError):
 
 
 class ConvergenceError(StochGameError):
-    """A fixed-point iteration exhausted its iteration budget.
+    """A solve missed its target: an iteration budget ran out or a certificate gap is too wide.
 
-    Carries the last observed sup-norm residual and the iteration count so
+    Carries the last observed residual (or gap) and the iteration count so
     callers can report how far the solve got.
     """
 

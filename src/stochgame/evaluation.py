@@ -301,17 +301,25 @@ def _response_levels(
     return levels
 
 
+def _n_stage_value(game: StochasticGame, horizon: int) -> np.ndarray:
+    """``finite_values(game, horizon)[-1]``, solved once per game and horizon and
+    kept read-only on the (immutable) game, so it lives and dies with the game."""
+    if horizon not in game._n_stage_values:
+        v_n = game._n_stage_values[horizon] = finite_values(game, horizon)[-1].copy()
+        v_n.setflags(write=False)
+    return game._n_stage_values[horizon]
+
+
 def guaranteed_value(game: StochasticGame, sigma, horizon: int) -> GuaranteeCertificate:
     """Exact worst-case (best-response) value of a fixed Player 1 strategy.
 
     Against a fixed Markov strategy the adversary faces a finite-horizon
     Markov decision problem, so the backward min recursion attains the
-    minimum over all strategies.
+    minimum over all strategies.  v_n is solved once per game and horizon.
     """
     sigma = _as_markov(sigma, horizon, "Player 1")
     levels = _response_levels(game, sigma, horizon, adversary_minimizes=True)
-    v_n = finite_values(game, horizon)[-1]
-    epsilon = float((v_n - levels[0]).max())
+    epsilon = float((_n_stage_value(game, horizon) - levels[0]).max())
     return GuaranteeCertificate(horizon, levels, epsilon)
 
 
@@ -320,12 +328,13 @@ def certify_epsilon_optimality(game: StochasticGame, profile, horizon: int) -> f
 
     Both players' strategies are measured against exact best responses; the
     result is max over states of the larger one-sided gap to the n-stage
-    value.  Values within solver noise of zero certify optimality.
+    value v_n, solved once per game and horizon.  Values within solver noise
+    of zero certify optimality.
     """
     sigma, rho = _profile_strategies(profile, horizon)
     low = _response_levels(game, sigma, horizon, adversary_minimizes=True)[0]
     high = _response_levels(game, rho, horizon, adversary_minimizes=False)[0]
-    v_n = finite_values(game, horizon)[-1]
+    v_n = _n_stage_value(game, horizon)
     return float(max((v_n - low).max(), (high - v_n).max()))
 
 
@@ -406,9 +415,25 @@ def value_drift_diagnostic(
 # ---------------------------------------------------------------------------
 
 
-def _sample_rows(cdf_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    idx = (cdf_rows < u[:, None]).sum(axis=1)
-    return np.minimum(idx, cdf_rows.shape[1] - 1)
+def _padded_cdf(probs: np.ndarray) -> tuple[np.ndarray, int]:
+    """Flat CDF rows of ``probs`` (last axis), padded to a power-of-two width, and
+    that width; the last real entry and the padding are ``inf``."""
+    cols = probs.shape[-1]
+    width = 1 << (cols - 1).bit_length()
+    cdf = np.full((probs.size // cols, width), np.inf)
+    cdf[:, : cols - 1] = np.cumsum(probs.reshape(-1, cols)[:, :-1], axis=1)
+    return cdf.ravel(), width
+
+
+def _sample_rows(cdf: np.ndarray, width: int, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per path, the column that ``u`` draws from CDF row ``rows``: a fixed-depth binary
+    search for ``#{k < cols - 1 : c_k < u}``, equal on nondecreasing rows to the
+    compare-and-count ``min(#{k : c_k < u}, cols - 1)``."""
+    pos, step = rows * width, width // 2
+    while step:
+        pos += step * (cdf.take(pos + (step - 1)) < u)
+        step //= 2
+    return pos & (width - 1)
 
 
 def monte_carlo_payoff(
@@ -424,26 +449,30 @@ def monte_carlo_payoff(
     Returns (mean, standard error) over ``trials`` independent paths.  All
     paths advance in lockstep on one seeded PCG64 stream; each stage draws,
     in order, Player 1 actions, Player 2 actions, then next states, one
-    vectorized draw each.  That draw order is part of the reproducibility
-    contract: the same seed always yields the same estimate.
+    vectorized draw each: the first column whose cumulative probability
+    reaches the uniform variate, found by binary search, so a stage costs
+    O(trials * log(states)).  That draw rule and order are the
+    reproducibility contract, pinned by the tests: the same seed always
+    yields the same estimate.
     """
     if not isinstance(trials, int) or trials < 1:
         raise InputError("trials must be a positive integer")
     sigma, rho = _profile_strategies(profile, horizon)
     start = game.state_index(initial_state)
     rng = np.random.default_rng(seed)
-    kernel_cdf = np.cumsum(game.transition, axis=-1)
+    kernel_cdf, kernel_width = _padded_cdf(game.transition)
 
     states = np.full(trials, start, dtype=np.intp)
     totals = np.zeros(trials)
     for length, x, y in _joint_runs(sigma, rho, horizon):
-        x_cdf = np.cumsum(x.probs, axis=1)
-        y_cdf = np.cumsum(y.probs, axis=1)
+        x_cdf, x_width = _padded_cdf(x.probs)
+        y_cdf, y_width = _padded_cdf(y.probs)
         for _ in range(length):
-            acts1 = _sample_rows(x_cdf[states], rng.random(trials))
-            acts2 = _sample_rows(y_cdf[states], rng.random(trials))
-            totals += game.payoff[states, acts1, acts2]
-            states = _sample_rows(kernel_cdf[states, acts1, acts2], rng.random(trials))
+            acts1 = _sample_rows(x_cdf, x_width, states, rng.random(trials))
+            acts2 = _sample_rows(y_cdf, y_width, states, rng.random(trials))
+            cells = (states * game.num_actions1 + acts1) * game.num_actions2 + acts2
+            totals += game.payoff.take(cells)
+            states = _sample_rows(kernel_cdf, kernel_width, cells, rng.random(trials))
     averages = totals / horizon
     mean = float(averages.mean())
     stderr = float(averages.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0

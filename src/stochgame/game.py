@@ -21,8 +21,6 @@ from .errors import GameFormatError, InputError, InvalidGameError
 PROB_TOL = 1e-12
 #: transition rows off by at most this much are renormalized with a warning
 RENORM_TOL = 1e-9
-#: looser tolerance for evolved state distributions
-DIST_TOL = 1e-10
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -55,6 +53,8 @@ class StochasticGame:
     transition: np.ndarray
     name: str | None = None
     max_abs_payoff: float = field(init=False)
+    #: n-stage values by horizon, kept by ``evaluation._n_stage_value``
+    _n_stage_values: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "states", _labels(self.states, "states"))
@@ -285,18 +285,6 @@ class MarkovStrategy:
         return cls(len(stages), tuple(segments))
 
 
-def validate_state_distribution(dist, num_states: int) -> np.ndarray:
-    """Check a distribution over states (nonnegative, mass 1 within 1e-10)."""
-    d = np.asarray(dist, dtype=float)
-    if d.shape != (num_states,):
-        raise InputError(f"state distribution must have length {num_states}")
-    if d.min() < -DIST_TOL:
-        raise InputError("state distribution has a negative entry")
-    if abs(d.sum() - 1.0) > DIST_TOL:
-        raise InputError(f"state distribution sums to {d.sum()!r}, not 1")
-    return d
-
-
 def point_mass(game: StochasticGame, state: str | int) -> np.ndarray:
     """Distribution putting all mass on one state."""
     d = np.zeros(game.num_states)
@@ -309,26 +297,6 @@ def _check_profile_shapes(game: StochasticGame, x: StationaryStrategy, y: Statio
         raise InputError("Player 1 strategy shape does not match the game")
     if y.probs.shape != (game.num_states, game.num_actions2):
         raise InputError("Player 2 strategy shape does not match the game")
-
-
-def advance_distribution(
-    game: StochasticGame,
-    dist,
-    x: StationaryStrategy,
-    y: StationaryStrategy,
-) -> np.ndarray:
-    """One-step law of the next state under (x, y) from state law ``dist``."""
-    return validate_state_distribution(dist, game.num_states) @ profile_transition_matrix(game, x, y)
-
-
-def expected_stage_payoff(
-    game: StochasticGame,
-    dist,
-    x: StationaryStrategy,
-    y: StationaryStrategy,
-) -> float:
-    """Expected one-stage payoff under (x, y) when the state has law ``dist``."""
-    return float(validate_state_distribution(dist, game.num_states) @ profile_stage_payoffs(game, x, y))
 
 
 def profile_transition_matrix(

@@ -11,7 +11,8 @@ of backward induction.  Items whose hinted supports have equal size are
 solved as square equalizer systems in one stacked ``np.linalg.solve``, and
 accepted only with nonnegative strategies and a certificate gap of at most
 :data:`_KERNEL_GAP` in normalized units; the rest fall back to the simplex,
-so a hint can cost time but not accuracy.
+so a hint can cost time but not accuracy.  A simplex item whose certificate
+gap exceeds :data:`_SIMPLEX_GAP` of its entry span raises ``ConvergenceError``.
 
 The LP route follows the classical normalization, made scale-free: map the
 matrix affinely onto ``(M - min M) / (max M - min M) + 1`` (a span of 1 is
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ConvergenceError, InputError
 
 #: reduced-cost and ratio-test threshold; normalized entries lie in [1, 2]
 _PIVOT_TOL = 1e-11
@@ -50,6 +51,8 @@ _PIVOT_TOL = 1e-11
 _MAX_PIVOTS = 100_000
 #: largest certificate gap, in normalized units, at which a hinted solution is accepted
 _KERNEL_GAP = 1e-12
+#: largest simplex certificate gap in a stack, relative to the item's entry span
+_SIMPLEX_GAP = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,5 +220,9 @@ def solve_batch(stack, hint=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             todo = todo[~hit]
     for k in todo:
         sol = solve_matrix_game(L[k])
+        gap, span = sol.certificate_gap, float(np.ptp(L[k]))  # span > 0: constant items are saddles
+        if not gap <= _SIMPLEX_GAP * span:
+            raise ConvergenceError(f"stack item {k}: simplex certificate gap {gap:.3g} > "
+                                   f"{_SIMPLEX_GAP:g} of the entry span {span:.3g}", gap, 0)
         values[k], xs[k], ys[k] = sol.value, sol.row_strategy, sol.col_strategy
     return values, xs, ys

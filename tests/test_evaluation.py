@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stochgame import evaluation
 from stochgame import (
     InputError,
     MarkovStrategy,
@@ -12,6 +13,7 @@ from stochgame import (
     discounted_cumulative_payoff,
     expected_value_under_profile,
     finite_value,
+    finite_values,
     guaranteed_value,
     monte_carlo_payoff,
     solve_matrix_game,
@@ -57,6 +59,24 @@ def seeded_markov(num_states, num_actions, horizon, seed):
     rng = np.random.default_rng(seed)
     return MarkovStrategy.from_stages(
         [StationaryStrategy(rng.dirichlet(np.ones(num_actions), size=num_states)) for _ in range(horizon)]
+    )
+
+
+def sparse_transition_game(num_states=6, seed=0):
+    """A game whose every cell moves to at most two states, some cells with a zero-weight entry."""
+    rng = np.random.default_rng(seed)
+    transition = np.zeros((num_states, 2, 3, num_states))
+    for s in range(num_states):
+        for i in range(2):
+            for j in range(3):
+                transition[s, i, j, (s + i + 1) % num_states] += 0.25 * j
+                transition[s, i, j, (s + 2 * j + 3) % num_states] += 1.0 - 0.25 * j
+    return StochasticGame(
+        states=tuple(f"s{k}" for k in range(num_states)),
+        actions1=("a0", "a1"),
+        actions2=("b0", "b1", "b2"),
+        payoff=rng.uniform(-1, 1, (num_states, 2, 3)),
+        transition=transition,
     )
 
 
@@ -496,3 +516,177 @@ class TestMonteCarlo:
         x, y = random_profile(game, 32)
         with pytest.raises(InputError):
             monte_carlo_payoff(game, (x, y), 0, 5, trials=0, seed=0)
+
+    # The draw contract: the next action or state is the first column whose
+    # cumulative probability reaches the uniform variate, capped at the last
+    # column.  Written out here as the plain compare-and-count rule.
+
+    @staticmethod
+    def compare_and_count(cdf_rows, u):
+        return np.minimum((cdf_rows < u[:, None]).sum(axis=1), cdf_rows.shape[1] - 1)
+
+    def reference_estimate(self, game, x, y, start, horizon, trials, seed):
+        """monte_carlo_payoff for a stationary profile, drawn by compare-and-count."""
+        rng = np.random.default_rng(seed)
+        x_cdf, y_cdf = np.cumsum(x.probs, axis=1), np.cumsum(y.probs, axis=1)
+        kernel_cdf = np.cumsum(game.transition, axis=-1)
+        states = np.full(trials, start)
+        totals = np.zeros(trials)
+        for _ in range(horizon):
+            acts1 = self.compare_and_count(x_cdf[states], rng.random(trials))
+            acts2 = self.compare_and_count(y_cdf[states], rng.random(trials))
+            totals += game.payoff[states, acts1, acts2]
+            states = self.compare_and_count(kernel_cdf[states, acts1, acts2], rng.random(trials))
+        averages = totals / horizon
+        stderr = float(averages.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+        return float(averages.mean()), stderr
+
+    @staticmethod
+    def adversarial_rows(num_rows, cols, seed):
+        """Probability rows with zero entries (repeated CDF values), rows summing to
+        1 - 1e-16, and point masses on the first and the last column."""
+        rng = np.random.default_rng(seed)
+        rows = rng.dirichlet(np.ones(cols), size=num_rows)
+        rows[rng.random(rows.shape) < 0.4] = 0.0
+        rows[rows.sum(axis=1) == 0.0, -1] = 1.0
+        rows /= rows.sum(axis=1, keepdims=True)
+        rows[1::3] *= 1.0 - 1e-16
+        rows[0], rows[-1] = np.eye(cols)[0], np.eye(cols)[-1]
+        return rows
+
+    @pytest.mark.parametrize("cols", [1, 2, 3, 4, 5, 8, 40, 64, 65])
+    def test_sampler_matches_compare_and_count(self, cols):
+        rows = self.adversarial_rows(30, cols, seed=cols)
+        cdf_rows = np.cumsum(rows, axis=1)
+        assert (np.diff(cdf_rows, axis=1) >= 0).all()
+        # uniform draws, every CDF entry exactly, its neighbours, and the ends of [0, 1)
+        u = np.concatenate([
+            np.random.default_rng(cols).random(3000),
+            cdf_rows.ravel(),
+            np.nextafter(cdf_rows.ravel(), 0.0),
+            np.nextafter(cdf_rows.ravel(), 1.0),
+            [0.0, np.nextafter(1.0, 0.0)],
+        ])
+        u = u[u < 1.0]
+        which = np.repeat(np.arange(len(rows)), len(u))  # every variate against every row
+        u = np.tile(u, len(rows))
+        cdf, width = evaluation._padded_cdf(rows)
+        got = evaluation._sample_rows(cdf, width, which, u)
+        np.testing.assert_array_equal(got, self.compare_and_count(cdf_rows[which], u))
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 1, 1), (2, 3, 1), (3, 1, 4), (4, 5, 2), (5, 2, 3), (8, 8, 2), (40, 2, 2), (64, 2, 1), (65, 1, 2)],
+    )
+    def test_draws_match_compare_and_count(self, shape):
+        states, n1, n2 = shape
+        rng = np.random.default_rng(states)
+        transition = self.adversarial_rows(states * n1 * n2, states, seed=states).reshape(shape + (states,))
+        game = StochasticGame(
+            tuple(f"s{k}" for k in range(states)),
+            tuple(f"a{k}" for k in range(n1)),
+            tuple(f"b{k}" for k in range(n2)),
+            rng.uniform(-1, 1, shape),
+            transition,
+        )
+        x = StationaryStrategy(self.adversarial_rows(states, n1, seed=n1 + 100))
+        y = StationaryStrategy(self.adversarial_rows(states, n2, seed=n2 + 200))
+        got = monte_carlo_payoff(game, (x, y), states - 1, 12, trials=300, seed=states)
+        assert got == self.reference_estimate(game, x, y, states - 1, 12, 300, states)
+
+    PINNED = {
+        "big_match": (
+            lambda: big_match().game, 50, 1000, 5,
+            (0.89268, 0.009314654066597448),
+        ),
+        "random_8_6_6": (
+            lambda: random_game(8, 6, 6, seed=3).game, 40, 500, 6,
+            (0.0793059466102774, 0.003975520594331575),
+        ),
+        "sparse_transitions": (
+            lambda: sparse_transition_game(), 30, 800, 7,
+            (0.18991488371658938, 0.0034891549995844104),
+        ),
+        "one_action_player": (
+            lambda: random_game(5, 1, 3, seed=2).game, 40, 600, 8,
+            (-0.36004684082762817, 0.0024373015417113513),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_pinned_estimates(self, case):
+        # recorded with the compare-and-count draw; every bit must stay
+        make_game, horizon, trials, seed, expected = self.PINNED[case]
+        game = make_game()
+        profile = random_profile(game, seed + 10)
+        assert monte_carlo_payoff(game, profile, 0, horizon, trials, seed) == expected
+
+
+class TestNStageValueOncePerGame:
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The (game, horizon) of every finite_values call the certificates make."""
+        calls = []
+        real = evaluation.finite_values
+        monkeypatch.setattr(evaluation, "finite_values", lambda g, n: calls.append((g, n)) or real(g, n))
+        return calls
+
+    @staticmethod
+    def expected_certificates(game, x, y, horizon):
+        """Both certificates computed from a fresh n-stage solve."""
+        v_n = finite_values(game, horizon)[-1]
+        low = evaluation._response_levels(game, MarkovStrategy.from_stationary(x, horizon), horizon,
+                                          adversary_minimizes=True)[0]
+        high = evaluation._response_levels(game, MarkovStrategy.from_stationary(y, horizon), horizon,
+                                           adversary_minimizes=False)[0]
+        return float((v_n - low).max()), float(max((v_n - low).max(), (high - v_n).max()))
+
+    def test_guarantee_then_certificate_solve_once(self, solves):
+        game = random_game(4, 2, 3, seed=1).game
+        x, y = random_profile(game, 2)
+        guaranteed_value(game, x, 30)
+        certify_epsilon_optimality(game, (x, y), 30)
+        guaranteed_value(game, x, 30)
+        assert solves == [(game, 30)]
+
+    def test_other_horizon_solves_again(self, solves):
+        game = random_game(4, 2, 3, seed=1).game
+        x, y = random_profile(game, 2)
+        certify_epsilon_optimality(game, (x, y), 30)
+        certify_epsilon_optimality(game, (x, y), 20)
+        assert solves == [(game, 30), (game, 20)]
+
+    def test_equal_game_object_solves_again(self, solves):
+        game = random_game(4, 2, 3, seed=1).game
+        twin = StochasticGame(game.states, game.actions1, game.actions2, game.payoff, game.transition, game.name)
+        assert twin == game and twin is not game
+        x, y = random_profile(game, 2)
+        guaranteed_value(game, x, 30)
+        guaranteed_value(twin, x, 30)
+        assert [g for g, _ in solves] == [game, twin] and solves[0][0] is game and solves[1][0] is twin
+
+    def test_recurring_object_ids_share_nothing(self):
+        # each game is freed just before the next is made, so CPython hands its id on
+        template = random_game(3, 2, 2, seed=0).game
+        rng = np.random.default_rng(0)
+        payoffs = rng.uniform(-1, 1, (40,) + template.payoff.shape)
+        ids = []
+        for payoff in payoffs:
+            game = StochasticGame(template.states, template.actions1, template.actions2, payoff,
+                                  template.transition)
+            x, y = random_profile(game, len(ids))
+            ids.append(id(game))
+            got = guaranteed_value(game, x, 25).epsilon, certify_epsilon_optimality(game, (x, y), 25)
+            assert got == self.expected_certificates(game, x, y, 25)
+            del game
+        assert len(set(ids)) < len(ids)
+
+    def test_stored_value_is_a_read_only_state_vector(self):
+        game = random_game(5, 2, 2, seed=4).game
+        v_n = evaluation._n_stage_value(game, 30)
+        assert v_n.shape == (game.num_states,)
+        assert not v_n.flags.writeable
+        np.testing.assert_array_equal(v_n, finite_values(game, 30)[-1])
+        assert evaluation._n_stage_value(game, 30) is v_n
+        with pytest.raises(ValueError):
+            v_n[0] = 0.0

@@ -12,11 +12,11 @@ from stochgame import (
     MarkovStrategy,
     StationaryStrategy,
     StochasticGame,
-    advance_distribution,
-    expected_stage_payoff,
     load_game,
     load_game_file,
     point_mass,
+    profile_stage_payoffs,
+    profile_transition_matrix,
     serialize_game,
 )
 from stochgame.corpus import random_game
@@ -154,20 +154,32 @@ class TestStrategies:
         assert list(strat.runs(4)) == [(4, stat)]
 
 
+def advance(game, dist, x, y):
+    """One-step law of the next state under (x, y) from state law ``dist``."""
+    return np.asarray(dist) @ profile_transition_matrix(game, x, y)
+
+
+def stage_payoff(game, dist, x, y):
+    """Expected one-stage payoff under (x, y) when the state has law ``dist``."""
+    return float(np.asarray(dist) @ profile_stage_payoffs(game, x, y))
+
+
 class TestAdvanceDistribution:
+    """A state law advanced one step by the profile's transition matrix."""
+
     def test_identity_kernel_fixes_distribution(self):
         game = identity_kernel_game()
         x = StationaryStrategy.uniform(3, 2)
         y = StationaryStrategy.uniform(3, 2)
         d = np.array([0.2, 0.3, 0.5])
-        np.testing.assert_allclose(advance_distribution(game, d, x, y), d, atol=1e-15)
+        np.testing.assert_allclose(advance(game, d, x, y), d, atol=1e-15)
 
     def test_deterministic_kernel_gives_point_mass(self):
         transition = np.zeros((2, 1, 1, 2))
         transition[:, 0, 0, 0] = 1.0  # everything moves to state 0
         game = StochasticGame(("u", "w"), ("a",), ("b",), np.zeros((2, 1, 1)), transition)
         x = StationaryStrategy.uniform(2, 1)
-        d = advance_distribution(game, [0.5, 0.5], x, x)
+        d = advance(game, [0.5, 0.5], x, x)
         np.testing.assert_allclose(d, [1.0, 0.0], atol=1e-15)
 
     def test_matches_brute_force_enumeration(self):
@@ -182,7 +194,7 @@ class TestAdvanceDistribution:
                 for j in range(2):
                     for t in range(2):
                         expected[t] += d[s] * x.probs[s, i] * y.probs[s, j] * game.transition[s, i, j, t]
-        np.testing.assert_allclose(advance_distribution(game, d, x, y), expected, atol=1e-14)
+        np.testing.assert_allclose(advance(game, d, x, y), expected, atol=1e-14)
 
     def test_mass_preserved_over_seeded_games(self):
         for seed in range(1000):
@@ -191,9 +203,11 @@ class TestAdvanceDistribution:
             x = StationaryStrategy(rng.dirichlet(np.ones(2), size=2))
             y = StationaryStrategy(rng.dirichlet(np.ones(2), size=2))
             d = rng.dirichlet(np.ones(2))
-            out = advance_distribution(game, d, x, y)
+            out = advance(game, d, x, y)
             assert abs(out.sum() - 1.0) <= 1e-10
             assert out.min() >= -1e-15
+            kernel = profile_transition_matrix(game, x, y)  # stochastic rows
+            assert np.abs(kernel.sum(axis=1) - 1.0).max() <= 1e-12 and kernel.min() >= 0.0
 
     @given(alpha=st.floats(0.0, 1.0), seed=st.integers(0, 50))
     @settings(max_examples=60, deadline=None)
@@ -204,14 +218,14 @@ class TestAdvanceDistribution:
         y = StationaryStrategy(rng.dirichlet(np.ones(2), size=3))
         d1 = rng.dirichlet(np.ones(3))
         d2 = rng.dirichlet(np.ones(3))
-        mixed = advance_distribution(game, alpha * d1 + (1 - alpha) * d2, x, y)
-        split = alpha * advance_distribution(game, d1, x, y) + (1 - alpha) * advance_distribution(
-            game, d2, x, y
-        )
+        mixed = advance(game, alpha * d1 + (1 - alpha) * d2, x, y)
+        split = alpha * advance(game, d1, x, y) + (1 - alpha) * advance(game, d2, x, y)
         np.testing.assert_allclose(mixed, split, atol=1e-12)
 
 
 class TestExpectedStagePayoff:
+    """A state law weighting the profile's per-state stage payoffs."""
+
     def test_constant_payoff_returns_constant(self):
         game = StochasticGame(
             ("s", "t"),
@@ -222,13 +236,13 @@ class TestExpectedStagePayoff:
         )
         x = StationaryStrategy.uniform(2, 2)
         y = StationaryStrategy.uniform(2, 2)
-        assert expected_stage_payoff(game, [0.3, 0.7], x, y) == pytest.approx(0.75, abs=1e-14)
+        assert stage_payoff(game, [0.3, 0.7], x, y) == pytest.approx(0.75, abs=1e-14)
 
     def test_point_mass_pure_actions_read_entry(self):
         game = random_game(2, 2, 2, seed=9).game
         x = StationaryStrategy.pure(2, 2, 1)
         y = StationaryStrategy.pure(2, 2, 0)
-        got = expected_stage_payoff(game, point_mass(game, "s1"), x, y)
+        got = stage_payoff(game, point_mass(game, "s1"), x, y)
         assert got == pytest.approx(game.payoff[1, 1, 0], abs=0.0)
 
     def test_matches_brute_force_triple_sum(self):
@@ -243,7 +257,7 @@ class TestExpectedStagePayoff:
             for i in range(2)
             for j in range(2)
         )
-        assert expected_stage_payoff(game, d, x, y) == pytest.approx(expected, abs=1e-14)
+        assert stage_payoff(game, d, x, y) == pytest.approx(expected, abs=1e-14)
 
     def test_bounded_by_max_abs_payoff(self):
         for seed in range(200):
@@ -252,4 +266,5 @@ class TestExpectedStagePayoff:
             x = StationaryStrategy(rng.dirichlet(np.ones(2), size=2))
             y = StationaryStrategy(rng.dirichlet(np.ones(2), size=2))
             d = rng.dirichlet(np.ones(2))
-            assert abs(expected_stage_payoff(game, d, x, y)) <= game.max_abs_payoff + 1e-12
+            assert abs(stage_payoff(game, d, x, y)) <= game.max_abs_payoff + 1e-12
+            assert np.abs(profile_stage_payoffs(game, x, y)).max() <= game.max_abs_payoff + 1e-12

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stochgame import InputError, solve_batch, solve_matrix_game
+from stochgame import ConvergenceError, InputError, matrix, solve_batch, solve_matrix_game
 
 from oracles import support_enumeration_solve, support_enumeration_value
 
@@ -225,6 +225,25 @@ class TestSolveBatch:
             self.check(scale * base, expected[id(base)], scale, hint)
             if kind == "optimal":
                 assert not simplex_calls  # every mixed item is settled by its optimal supports
+
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+    def test_simplex_certificate_gap_gate(self, scale, monkeypatch):
+        # rock-paper-scissors plus noise: no saddle, not 2x2, so every item reaches the simplex
+        rps = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+        stack = scale * (rps + np.random.default_rng(38).uniform(-0.1, 0.1, size=(5, 3, 3)))
+        real = matrix._simplex_core
+
+        def perturbed(by):
+            def core(M):
+                objective, w, duals = real(M)
+                return objective, w, duals * np.array([1.0, 1.0, 1.0 + by])
+            return core
+
+        monkeypatch.setattr(matrix, "_simplex_core", perturbed(1e-13))
+        self.check(stack, oracle_values(stack / scale), scale)  # within the gate's 1e-9 of the span
+        monkeypatch.setattr(matrix, "_simplex_core", perturbed(1e-6))
+        with pytest.raises(ConvergenceError, match="simplex certificate gap"):
+            solve_batch(stack)
 
 
 class TestInvariants:
