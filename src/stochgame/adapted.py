@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InputError, ScheduleNotReadyError
-from .evaluation import expected_value_under_profile, stages_to_weight
-from .game import MarkovStrategy, StationaryStrategy, StochasticGame
+from .evaluation import _at_stage, _state_vector, stages_to_weight
+from .game import MarkovStrategy, StationaryStrategy, StochasticGame, profile_transition_matrix
 from .shapley import DiscountedSolution, discounted_value
 
 #: default fractions for drift measurement; capped at 7/8 because one block
@@ -29,24 +29,15 @@ DEFAULT_DRIFT_T_GRID = tuple(k / 8 for k in range(1, 8))
 class BlockSchedule:
     """Horizon n split into blocks of length a with per-block discounts.
 
-    ``discounts[k] == 1/(n - k*a)`` for every block index k, including the
-    final partial block when a does not divide n.  Discounts are strictly
-    increasing and lie in (0, 1].
+    Stage m lies in block (m - 1) // a, and ``discounts[k] == 1/(n - k*a)``
+    for every block k, including the final partial block when a does not
+    divide n.  Discounts are strictly increasing and lie in (0, 1].
     """
 
     horizon: int
     block_length: int
     num_blocks: int
     discounts: tuple[float, ...]
-
-    def block_index(self, stage: int) -> int:
-        """Block containing 1-based ``stage``."""
-        if not 1 <= stage <= self.horizon:
-            raise InputError(f"stage {stage} outside [1, {self.horizon}]")
-        return (stage - 1) // self.block_length
-
-    def discount_at_stage(self, stage: int) -> float:
-        return self.discounts[self.block_index(stage)]
 
     def block_bounds(self, block: int) -> tuple[int, int]:
         """First and last 1-based stage of ``block``."""
@@ -263,13 +254,13 @@ def estimate_discount_thresholds(
     """Empirical drift thresholds from exact evaluation on a discount grid.
 
     For each probed discount the optimal stationary profile is evaluated
-    exactly: the drift is the largest |E[v*(state at the weight-t stage)]
-    - v*(start)| over the fraction grid and all start states.  The
-    threshold for block count p is then the largest grid discount whose
-    whole tail keeps the drift at or below 1/p^2.  Grids make this an
-    auditable surrogate for thresholds that exist only by a compactness
-    argument; when even the smallest probed discount fails the bound the
-    result is flagged approximate.
+    exactly, by a matrix power per fraction: the drift is the largest
+    |E[v*(state at the weight-t stage)] - v*(start)| over the fraction grid
+    and all start states.  The threshold for block count p is then the
+    largest grid discount whose whole tail keeps the drift at or below
+    1/p^2.  Grids make this an auditable surrogate for thresholds that exist
+    only by a compactness argument; when even the smallest probed discount
+    fails the bound the result is flagged approximate.
     """
     grid = tuple(float(d) for d in discount_grid)
     if not grid:
@@ -283,14 +274,13 @@ def estimate_discount_thresholds(
     fractions = DEFAULT_DRIFT_T_GRID if t_grid is None else tuple(float(t) for t in t_grid)
     if not fractions or any(not 0.0 < t <= 7.0 / 8.0 for t in fractions):
         raise InputError("t_grid entries must lie in (0, 7/8]")
-    vstar = np.asarray(limit_value, dtype=float)
+    vstar = _state_vector(game, limit_value, "limit_value")
 
-    drifts = []
-    for discount in grid:
-        x, y = provider.profile(discount)
-        stages = np.array([stages_to_weight(discount, t) for t in fractions])
-        curve = expected_value_under_profile(game, x, y, vstar, int(stages.max()))
-        drifts.append(np.abs(curve[stages - 1] - vstar).max())
+    kernels = [profile_transition_matrix(game, *provider.profile(discount)) for discount in grid]
+    drifts = [
+        max(np.abs(_at_stage(kernel, vstar, stages_to_weight(discount, t)) - vstar).max() for t in fractions)
+        for discount, kernel in zip(grid, kernels)
+    ]
 
     # tail_max[i]: worst drift among grid discounts <= grid[i]; it never increases
     # along the grid, so the entries within 1/p^2 form a suffix of it

@@ -1,8 +1,9 @@
 """Exact evaluation of strategy profiles and optimality diagnostics.
 
-Everything except :func:`monte_carlo_payoff` is computed by exact forward or
-backward recursions on state distributions, so results carry only floating
-accumulation error (order ``horizon * 1e-14 * max_abs_payoff``).
+Everything except :func:`monte_carlo_payoff` is exact up to rounding.  Stage
+recursions carry error of order ``horizon * 1e-14 * max_abs_payoff``; the matrix
+powers that read a stationary profile's far stages carry error that can grow like
+``eps / discount``, measured at most ``2.2e-12 * max_abs_payoff`` down to 1e-6.
 """
 from __future__ import annotations
 
@@ -207,6 +208,12 @@ def constant_payoff_curve(
     )
 
 
+def _at_stage(kernel: np.ndarray, values: np.ndarray, stage: int) -> np.ndarray:
+    """E[values(state at ``stage``)] from every start of the chain ``kernel``, as
+    ``kernel^(stage - 1) @ values`` by repeated squaring: O(log stage) products."""
+    return np.linalg.matrix_power(kernel, stage - 1) @ values
+
+
 def discounted_cumulative_payoff(
     game: StochasticGame,
     x: StationaryStrategy,
@@ -217,37 +224,21 @@ def discounted_cumulative_payoff(
 ) -> float:
     """Discounted payoff accumulated until the weight-``fraction`` stage.
 
-    Exact expectation of sum_{m<=M} d(1-d)^(m-1) g_m under the stationary
-    profile, where M = :func:`stages_to_weight`(discount, fraction).
+    Expectation of sum_{m<=M} d(1-d)^(m-1) g_m, M = :func:`stages_to_weight`(discount,
+    fraction), in closed form: ``w - (1-d)^M P^M w``, with P the stationary
+    profile's transition matrix and w its full discounted payoff.
     """
     if not 0.0 < fraction < 1.0:
         raise InputError(f"fraction must lie in (0, 1), got {fraction!r}")
     stages = stages_to_weight(discount, fraction)
-    weights = discount * (1.0 - discount) ** np.arange(stages)
-    return float(weights @ trajectory(game, x, y, initial_state, stages).stage_payoffs)
-
-
-def expected_value_under_profile(
-    game: StochasticGame,
-    x: StationaryStrategy,
-    y: StationaryStrategy,
-    values,
-    num_stages: int,
-) -> np.ndarray:
-    """E[values(state at stage m)] for m = 1..num_stages, from every start.
-
-    Returns an array of shape (num_stages, states) whose row m-1, column s
-    is the expectation when the chain induced by (x, y) starts at state s.
-    """
-    if not isinstance(num_stages, int) or num_stages < 1:
-        raise InputError("num_stages must be a positive integer")
-    v = _state_vector(game, values, "values")
+    start = game.state_index(initial_state)
     kernel = profile_transition_matrix(game, x, y)
-    out = np.empty((num_stages, game.num_states))
-    out[0] = v
-    for m in range(1, num_stages):
-        out[m] = kernel @ out[m - 1]
-    return out
+    eye = np.eye(game.num_states)
+    # the system discounted_value solves: absorbing rows stay exact
+    w = np.linalg.solve(discount * eye + (1.0 - discount) * (eye - kernel), discount * profile_stage_payoffs(game, x, y))
+    # (1-d)**M would carry the rounding of 1-d M times over
+    tail = math.exp(stages * math.log1p(-discount))
+    return float(w[start] - tail * _at_stage(kernel, w, stages + 1)[start])
 
 
 # ---------------------------------------------------------------------------

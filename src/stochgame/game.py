@@ -159,12 +159,15 @@ class StationaryStrategy:
         probs = np.array(self.probs, dtype=float)
         if probs.ndim != 2 or probs.size == 0:
             raise InputError("stationary strategy must be a (states x actions) matrix")
-        if probs.min() < -PROB_TOL:
+        low = probs.min()
+        if low < -PROB_TOL:
             raise InputError("stationary strategy has a negative action weight")
         dev = np.abs(probs.sum(axis=1) - 1.0)
         if dev.max() > PROB_TOL:
             s = int(dev.argmax())
             raise InputError(f"mixed action for state index {s} sums to {probs[s].sum()!r}, not 1")
+        if low < 0.0:  # clipped, not renormalized: every CDF row is then nondecreasing
+            probs = np.maximum(probs, 0.0)
         object.__setattr__(self, "probs", _freeze(probs))
 
     @property
@@ -174,9 +177,6 @@ class StationaryStrategy:
     @property
     def num_actions(self) -> int:
         return self.probs.shape[1]
-
-    def action(self, state: int) -> np.ndarray:
-        return self.probs[state]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StationaryStrategy):

@@ -24,6 +24,8 @@ from .matrix import solve_batch
 #: Player 2's policy switches only on a gain above this share of max|g|, so
 #: rounding ties cannot make policy iteration cycle
 _SWITCH_TOL = 1e-12
+#: a target tol * discount below this share of max|g| is refused: rounding can keep it out of reach
+_ROUNDING_FLOOR = 4 * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,9 +141,9 @@ def discounted_value(
     iteration, which becomes the next ``v``.  Every Shapley application and
     every policy-evaluation solve counts as one iteration against
     ``max_iterations`` (default :func:`default_iteration_cap`).  Running out,
-    or returning to an earlier ``v`` (which happens only when
-    ``tol * discount`` is below rounding error), raises
-    :class:`ConvergenceError` with the last residual.
+    or returning to an earlier ``v``, raises :class:`ConvergenceError` with
+    the last residual; so does, before the first step, a ``tol * discount``
+    below ``4 * eps * max|g|``, which rounding can keep out of reach.
     """
     discount = _check_discount(discount)
     if not tol > 0.0:
@@ -150,6 +152,8 @@ def discounted_value(
         raise InputError("tol must be finite")
     ns = game.num_states
     target = tol * discount
+    if target < _ROUNDING_FLOOR * game.max_abs_payoff:
+        raise ConvergenceError(f"tol*discount {target:.3e} is below the rounding floor 4*eps*max|g|", math.inf, 0)
     cap = default_iteration_cap(game, discount, tol) if max_iterations is None else max_iterations
     tie = _SWITCH_TOL * game.max_abs_payoff
     states = np.arange(ns)

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's production code paths:
 matrix games are solved by square-support enumeration, values by plain
-python recursions, expectations by literal path enumeration, scalar fixed
-points by bisection, and the weight-horizon by an exact rational scan.
+python recursions, expectations by literal path enumeration or by stage
+loops and matrix powers in long double, scalar fixed points by bisection,
+and the weight-horizon by an exact rational scan.
 """
 from __future__ import annotations
 
@@ -259,6 +260,73 @@ def stationary_discounted_payoff(game, x, y, discount):
     rewards = profile_stage_payoffs(game, x, y)
     ns = game.num_states
     return np.linalg.solve(np.eye(ns) - (1.0 - discount) * kernel, discount * rewards)
+
+
+def expected_value_under_profile(game, x, y, values, num_stages):
+    """E[values(state at stage m)] for m = 1..num_stages, from every start.
+
+    Returns an array of shape (num_stages, states) whose row m-1, column s
+    is the expectation when the chain induced by (x, y) starts at state s.
+    """
+    from stochgame.errors import InputError
+    from stochgame.game import profile_transition_matrix
+
+    if not isinstance(num_stages, int) or num_stages < 1:
+        raise InputError("num_stages must be a positive integer")
+    v = np.asarray(values, dtype=float)
+    if v.shape != (game.num_states,):
+        raise InputError("values must be a vector over the game's states")
+    kernel = profile_transition_matrix(game, x, y)
+    out = np.empty((num_stages, game.num_states))
+    out[0] = v
+    for m in range(1, num_stages):
+        out[m] = kernel @ out[m - 1]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Stationary chains in long double
+# ---------------------------------------------------------------------------
+
+
+def _long_double_chain(game, x, y):
+    """(stage payoffs, transition matrix) of the stationary profile (x, y), in long double."""
+    L = np.longdouble
+    xs, ys = x.probs.astype(L), y.probs.astype(L)
+    rewards = np.einsum("si,sj,sij->s", xs, ys, game.payoff.astype(L))
+    kernel = np.einsum("si,sj,sijt->st", xs, ys, game.transition.astype(L))
+    return rewards, kernel
+
+
+def long_double_discounted_cumulative(game, x, y, initial_state, discount, stage_counts):
+    """{M: sum_{m<=M} d(1-d)^(m-1) E[g_m]} for each M in ``stage_counts``, by one
+    forward stage loop on the state distribution in long double."""
+    rewards, kernel = _long_double_chain(game, x, y)
+    d = np.longdouble(discount)
+    dist = np.zeros(game.num_states, dtype=np.longdouble)
+    dist[game.state_index(initial_state)] = 1
+    total, weight, out = np.longdouble(0), d, {}
+    for m in range(1, max(stage_counts) + 1):
+        total += weight * (dist @ rewards)
+        dist = dist @ kernel
+        weight *= 1 - d
+        if m in stage_counts:
+            out[m] = float(total)
+    return out
+
+
+def long_double_far_stage(game, x, y, values, stage):
+    """E[values(state at ``stage``)] from every start: the profile's transition
+    matrix raised to ``stage - 1`` by square-and-multiply in long double."""
+    _, kernel = _long_double_chain(game, x, y)
+    power = np.eye(game.num_states, dtype=np.longdouble)
+    k = stage - 1
+    while k:
+        if k & 1:
+            power = power @ kernel
+        kernel = kernel @ kernel
+        k >>= 1
+    return (power @ np.asarray(values, dtype=np.longdouble)).astype(float)
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,21 @@ def test_c09_discounted_constant_payoff_improves(games, providers):
     assert sups[1e-3] <= 0.5 * sups[1e-1], sups
 
 
+def test_c09_discounted_constant_payoff_at_small_discount(games, providers):
+    # every stage pays 1/2 in expectation under the optimal profile, so at 1e-6
+    # (about 2.3 million stages at t = 0.9) only the weight's overshoot of t,
+    # less than the discount, separates the cumulative payoff from t/2
+    game = games["big_match"]
+    sups = {}
+    for discount in (1e-3, 1e-6):
+        x, y = providers["big_match"].profile(discount)
+        sups[discount] = max(
+            abs(discounted_cumulative_payoff(game, x, y, 0, discount, t) - t / 2) for t in T_GRID
+        )
+    assert sups[1e-6] <= 0.5 * sups[1e-3], sups
+    assert sups[1e-6] <= 1e-6 / 2 + 2e-11, sups
+
+
 def test_c10_block_weight_mass_bound():
     for block_length in range(2, 10_001):
         assert block_weight_mass(block_length) <= 7.0 / 8.0

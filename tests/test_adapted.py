@@ -20,10 +20,11 @@ from stochgame import (
     trajectory,
 )
 from stochgame.adapted import DEFAULT_DRIFT_T_GRID
+from stochgame.evaluation import stages_to_weight
 from stochgame.corpus import big_match, random_game
 from stochgame.game import StationaryStrategy, StochasticGame
 
-from oracles import weight_horizon_scan
+from oracles import expected_value_under_profile, long_double_far_stage, weight_horizon_scan
 
 
 def constant_game(value=0.3):
@@ -41,8 +42,8 @@ class TestBlockSchedule:
         sched = block_schedule(10, 3)
         assert sched.num_blocks == 3
         assert sched.discounts == (1 / 10, 1 / 7, 1 / 4, 1.0)
-        assert [sched.block_index(m) for m in range(1, 11)] == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3]
-        assert sched.discount_at_stage(10) == 1.0
+        assert [(m - 1) // 3 for m in range(1, 11)] == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3]
+        assert sched.discounts[(10 - 1) // 3] == 1.0
 
     def test_single_block_when_a_equals_n(self):
         sched = block_schedule(6, 6)
@@ -75,7 +76,7 @@ class TestBlockSchedule:
         sched = block_schedule(n, a)
         p = sched.num_blocks
         for m in range(1, p * a + 1):
-            k = sched.block_index(m)
+            k = (m - 1) // a
             per_stage = 1.0 / (n - m + 1)
             assert sched.discounts[k] <= per_stage + 1e-15
             if k + 1 < len(sched.discounts):
@@ -99,7 +100,7 @@ class TestAdaptedProfile:
         profile = adapted_profile(game, 10, 3, tol=1e-9)
         sched = profile.schedule
         for stage in range(1, 11):
-            discount = sched.discount_at_stage(stage)
+            discount = sched.discounts[(stage - 1) // sched.block_length]
             sol = discounted_value(game, discount, tol=1e-9)
             assert profile.sigma.at_stage(stage) == sol.x
             assert profile.rho.at_stage(stage) == sol.y
@@ -257,8 +258,6 @@ class TestEstimateDiscountThresholds:
         assert thresholds.values == (0.5,) * 4
 
     def test_big_match_thresholds_self_verify(self, big_match_entry):
-        from stochgame.evaluation import expected_value_under_profile, stages_to_weight
-
         game = big_match_entry.game
         provider = DiscountedProfileProvider(game, tol=1e-8)
         vstar = np.array([0.5, 1.0, 0.0])
@@ -281,6 +280,36 @@ class TestEstimateDiscountThresholds:
                 curve = expected_value_under_profile(game, x, y, vstar, stages[-1])
                 drift = max(float(np.abs(curve[m - 1] - vstar).max()) for m in stages)
                 assert drift <= p**-2 + 1e-12
+
+    @pytest.mark.parametrize(
+        "make_game, max_blocks",
+        [(big_match, 10), (lambda: random_game(3, 2, 2, seed=11), 1200)],
+        ids=["big_match", "random_3_2_2"],
+    )
+    def test_thresholds_self_verify_down_to_2_pow_minus_20(self, make_game, max_blocks):
+        # the last grid point weighs about 2.2 million stages: each drift is re-read
+        # from a long-double matrix power instead of a stage loop
+        game = make_game().game
+        provider = DiscountedProfileProvider(game, tol=1e-8)
+        grid = [2.0**-k for k in range(1, 21)]
+        vstar = provider.solution(grid[-1]).value
+        thresholds = estimate_discount_thresholds(game, provider, grid, max_blocks, vstar)
+        drifts = []
+        for discount in grid:
+            x, y = provider.profile(discount)
+            ends = [long_double_far_stage(game, x, y, vstar, stages_to_weight(discount, t)) for t in DEFAULT_DRIFT_T_GRID]
+            drifts.append(float(np.abs(np.array(ends) - vstar).max()))
+        violated = False
+        for p in range(1, max_blocks + 1):
+            mu = thresholds.value_at(p)
+            if max(d for discount, d in zip(grid, drifts) if discount <= mu) <= p**-2 + 1e-12:
+                # every grid discount up to the threshold keeps the drift within 1/p^2,
+                # and the next larger one does not
+                assert mu == grid[0] or drifts[grid.index(mu) - 1] > p**-2 - 1e-12
+            else:
+                violated = True
+                assert mu == grid[-1]
+        assert thresholds.approximate is violated
 
     def test_thresholds_clamped_to_half(self):
         game = constant_game(0.0)

@@ -3,6 +3,7 @@ import pytest
 
 from stochgame import evaluation
 from stochgame import (
+    DiscountedProfileProvider,
     InputError,
     MarkovStrategy,
     StationaryStrategy,
@@ -11,7 +12,8 @@ from stochgame import (
     certify_epsilon_optimality,
     constant_payoff_curve,
     discounted_cumulative_payoff,
-    expected_value_under_profile,
+    discounted_value,
+    estimate_discount_thresholds,
     finite_value,
     finite_values,
     guaranteed_value,
@@ -21,10 +23,11 @@ from stochgame import (
     trajectory,
     value_drift_diagnostic,
 )
-from stochgame.corpus import big_match, random_game, single_player_mdp
+from stochgame.corpus import big_match, random_game, single_player_mdp, two_state_cycle
 
 from oracles import (
     finite_values_recursion,
+    long_double_discounted_cumulative,
     path_enumeration_discounted_cumulative,
     path_enumeration_stage_payoffs,
     pure_markov_best_response_value,
@@ -231,13 +234,14 @@ class TestConstantPayoffCurve:
         with pytest.raises(InputError, match="limit_value must be a vector over the game's states"):
             constant_payoff_curve(game, (x, y), start, 10, [0.5], [0.5])
 
-    def test_trajectory_and_expected_value_share_the_check(self):
+    def test_trajectory_and_thresholds_share_the_check(self):
         game = big_match().game
         x, y = random_profile(game, 9)
         with pytest.raises(InputError, match="limit_value must be a vector over the game's states"):
             trajectory(game, x, y, "play", 10, limit_value=[0.5])
-        with pytest.raises(InputError, match="values must be a vector over the game's states"):
-            expected_value_under_profile(game, x, y, [0.5], 10)
+        provider = DiscountedProfileProvider(game)
+        with pytest.raises(InputError, match="limit_value must be a vector over the game's states"):
+            estimate_discount_thresholds(game, provider, [0.5, 0.25], 3, [0.5])
 
 
 class TestDiscountedCumulativePayoff:
@@ -271,6 +275,23 @@ class TestDiscountedCumulativePayoff:
             oracle = path_enumeration_discounted_cumulative(game, x, y, 0, discount, stages)
             got = discounted_cumulative_payoff(game, x, y, 0, discount, fraction)
             assert got == pytest.approx(oracle, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "make_game",
+        [big_match, two_state_cycle, lambda: random_game(3, 2, 2, seed=11)],
+        ids=["big_match", "two_state_cycle", "random_3_2_2"],
+    )
+    def test_matches_long_double_stage_loop(self, make_game):
+        # the closed form against the stage loop it replaced, carried in long double,
+        # with the optimal stationary profile of each discount
+        game = make_game().game
+        for discount in (1e-2, 1e-3, 1e-4):
+            sol = discounted_value(game, discount, tol=1e-8)
+            stages = {t: stages_to_weight(discount, t) for t in (0.1, 0.5, 0.9)}
+            loop = long_double_discounted_cumulative(game, sol.x, sol.y, 0, discount, set(stages.values()))
+            for t, count in stages.items():
+                got = discounted_cumulative_payoff(game, sol.x, sol.y, 0, discount, t)
+                assert abs(got - loop[count]) <= 2e-11 * game.max_abs_payoff, (discount, t)
 
 
 class TestGuaranteedValue:
@@ -524,6 +545,16 @@ class TestMonteCarlo:
     @staticmethod
     def compare_and_count(cdf_rows, u):
         return np.minimum((cdf_rows < u[:, None]).sum(axis=1), cdf_rows.shape[1] - 1)
+
+    def test_negative_rounding_weight_is_clipped(self):
+        # kept at -1e-13, the weight would make the CDF row decrease, and the binary
+        # search would draw action 2 where compare-and-count draws action 1
+        x = StationaryStrategy([[0.5, -1e-13, 0.5 + 1e-13]])
+        assert x.probs.tolist() == [[0.5, 0.0, 0.5 + 1e-13]]
+        u = np.array([0.5 - 5e-14])
+        cdf, width = evaluation._padded_cdf(x.probs)
+        got = evaluation._sample_rows(cdf, width, np.zeros(1, dtype=np.intp), u)
+        np.testing.assert_array_equal(got, self.compare_and_count(np.cumsum(x.probs, axis=1), u))
 
     def reference_estimate(self, game, x, y, start, horizon, trials, seed):
         """monte_carlo_payoff for a stationary profile, drawn by compare-and-count."""

@@ -229,6 +229,16 @@ class TestSmallDiscounts:
         assert info.value.residual > 1e-18
         assert info.value.iterations < 1000
 
+    @pytest.mark.parametrize("factor", [1e-9, 1.0, 1e9])
+    def test_target_below_rounding_floor_refused_before_the_first_step(self, factor):
+        # tol * discount = 1e-18 relative to the payoffs is below 4 * eps * max|g|;
+        # 1e-14 relative, as in the solves above, stays above it and certifies
+        game = scaled(random_game(3, 2, 2, seed=11).game, factor)
+        with pytest.raises(ConvergenceError) as info:
+            discounted_value(game, 1e-6, tol=1e-12 * factor, max_iterations=1000)
+        assert info.value.iterations == 0
+        assert discounted_value(game, 1e-6, tol=1e-8 * factor).residual <= 1e-14 * factor
+
     @pytest.mark.parametrize("factor", [1e-3, 1e3])
     def test_payoff_scale_equivariance(self, factor):
         tol = 1e-8
