@@ -42,10 +42,10 @@ def stages_to_weight(discount: float, fraction: float) -> int:
         return 1
     stages = max(1, math.ceil(math.log1p(-fraction) / math.log1p(-discount)))
     remaining = 1.0 - fraction
-    base = 1.0 - discount
-    while stages > 1 and base ** (stages - 1) <= remaining:
+    log_base = math.log1p(-discount)  # (1-d)**M would carry the rounding of 1-d M times over
+    while stages > 1 and math.exp((stages - 1) * log_base) <= remaining:
         stages -= 1
-    while base**stages > remaining:
+    while math.exp(stages * log_base) > remaining:
         stages += 1
     return stages
 
@@ -293,8 +293,8 @@ def _response_levels(
 
 
 def _n_stage_value(game: StochasticGame, horizon: int) -> np.ndarray:
-    """``finite_values(game, horizon)[-1]``, solved once per game and horizon and
-    kept read-only on the (immutable) game, so it lives and dies with the game."""
+    """``finite_values(game, horizon)[-1]``, kept read-only on the (immutable) game per horizon,
+    so it lives and dies with the game; not the table, since a certificate needs only v_n."""
     if horizon not in game._n_stage_values:
         v_n = game._n_stage_values[horizon] = finite_values(game, horizon)[-1].copy()
         v_n.setflags(write=False)

@@ -55,6 +55,8 @@ class StochasticGame:
     max_abs_payoff: float = field(init=False)
     #: n-stage values by horizon, kept by ``evaluation._n_stage_value``
     _n_stage_values: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    #: read-only v_1..v_n of the longest ``shapley.finite_value`` solve, read by ``finite_values``
+    _n_stage_table: np.ndarray = field(init=False, default_factory=lambda: np.empty((0, 0)), repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "states", _labels(self.states, "states"))

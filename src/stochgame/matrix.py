@@ -178,8 +178,8 @@ def solve_batch(stack, hint=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``stack`` has shape (batch, rows, cols); returns the values (batch,), the
     row strategies (batch, rows) and the column strategies (batch, cols).
     ``hint`` is None or such a pair for a neighbouring stack (see the module
-    docstring).  This inner kernel of every Shapley application and of backward
-    induction has to stay allocation-light.
+    docstring).  It validates, then runs the allocation-light kernel that the
+    library's own local games, over a validated game and finite values, call directly.
     """
     L = _as_matrix(stack, ndim=3)
     if hint is not None and (  # getattr: np.shape would double this check's cost per call
@@ -187,6 +187,10 @@ def solve_batch(stack, hint=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         or getattr(hint[1], "shape", None) != (len(L), L.shape[2])
     ):
         raise InputError("hint must be a pair of (batch, rows) and (batch, cols) strategy arrays")
+    return _solve_batch(L, hint)
+
+
+def _solve_batch(L: np.ndarray, hint=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if L.shape[1:] == (2, 2):
         # elementwise: reductions over length-2 axes cost several times more than np.minimum
         a, b, c, d = L[:, 0, 0], L[:, 0, 1], L[:, 1, 0], L[:, 1, 1]

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .game import MarkovStrategy, StationaryStrategy, StochasticGame
-from .matrix import solve_batch
+from .game import MarkovStrategy, StationaryStrategy, StochasticGame, _freeze
+from .matrix import _solve_batch
 
 #: Player 2's policy switches only on a gain above this share of max|g|, so
 #: rounding ties cannot make policy iteration cycle
@@ -61,11 +61,6 @@ class FiniteHorizonSolution:
     x_strategies: MarkovStrategy
     y_strategies: MarkovStrategy
 
-    def value_at(self, num_stages: int) -> np.ndarray:
-        if not 1 <= num_stages <= self.horizon:
-            raise InputError(f"num_stages {num_stages} outside [1, {self.horizon}]")
-        return self.values[num_stages - 1]
-
 
 @dataclass(frozen=True, eq=False)
 class LimitValueEstimate:
@@ -87,6 +82,12 @@ def local_game_tensor(game: StochasticGame, discount: float, continuation: np.nd
     return discount * game.payoff + (1.0 - discount) * cont
 
 
+def _finite(values: np.ndarray) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise InputError("values are not finite: the payoffs are too large for double precision")
+    return values
+
+
 def _check_discount(discount: float) -> float:
     discount = float(discount)
     if not 0.0 < discount <= 1.0:
@@ -100,7 +101,7 @@ def shapley_operator(game: StochasticGame, discount: float, values) -> np.ndarra
     v = np.asarray(values, dtype=float)
     if v.shape != (game.num_states,) or not np.isfinite(v).all():
         raise InputError("values must be a finite vector over the game's states")
-    return solve_batch(local_game_tensor(game, discount, v))[0]
+    return _finite(_solve_batch(local_game_tensor(game, discount, v))[0])
 
 
 def default_iteration_cap(game: StochasticGame, discount: float, tol: float) -> int:
@@ -169,10 +170,10 @@ def discounted_value(
         seen.add(v.tobytes())
         iterations += 1
         # the previous outer step's strategies hint the local games' supports
-        applied, xs, ys = solve_batch(local_game_tensor(game, discount, v), hint)
+        applied, xs, ys = _solve_batch(local_game_tensor(game, discount, v), hint)
         hint = xs, ys
         residual = float(np.abs(applied - v).max())
-        if residual <= target:
+        if residual <= target:  # false for a non-finite T(v): no overflowed value returns
             x, y = StationaryStrategy(xs), StationaryStrategy(ys)
             return DiscountedSolution(discount, v, x, y, residual, iterations)
 
@@ -217,7 +218,7 @@ def _backward_induction(game: StochasticGame, horizon: int):
     v, hint = np.zeros(game.num_states), None
     for r in range(1, horizon + 1):
         # the previous stage's strategies hint this stage's supports
-        v, xs, ys = solve_batch(local_game_tensor(game, 1.0 / r, v), hint)
+        v, xs, ys = _solve_batch(local_game_tensor(game, 1.0 / r, v), hint)
         hint = xs, ys
         yield v, xs, ys
 
@@ -225,27 +226,34 @@ def _backward_induction(game: StochasticGame, horizon: int):
 def finite_values(game: StochasticGame, horizon: int) -> np.ndarray:
     """Values v_1..v_n of the 1..n stage games, shape (n, states).
 
-    The values of :func:`finite_value` without keeping the strategies.
+    The values of :func:`finite_value` without the strategies, copied from the table a
+    :func:`finite_value` at least n long left on the game if there is one (row r does
+    not depend on n).  This call keeps no table: a certificate needs only v_n.
     """
-    values = np.empty((_check_horizon(horizon), game.num_states))
+    if len(game._n_stage_table) >= _check_horizon(horizon):
+        return game._n_stage_table[:horizon].copy()
+    values = np.empty((horizon, game.num_states))
     for row, (v, _, _) in zip(values, _backward_induction(game, horizon)):
         row[:] = v
-    return values
+    return _finite(values)
 
 
 def finite_value(game: StochasticGame, horizon: int) -> FiniteHorizonSolution:
     """Values and optimal Markov strategies of the n-stage game.
 
     Stage m of the returned strategies plays the optimal mixed action of the
-    local game with r = n - m + 1 remaining stages, i.e. the strategies
-    realize the backward-induction solution.
+    local game with r = n - m + 1 remaining stages (backward induction).  The longest
+    values table solved stays on the game, as a read-only copy, for :func:`finite_values`.
     """
     # wrap each stage as it comes, so the kernel's arrays are not held twice
     stages = _backward_induction(game, _check_horizon(horizon))
     values, xs, ys = zip(*((v, StationaryStrategy(x), StationaryStrategy(y)) for v, x, y in stages))
+    values = _finite(np.array(values))
+    if len(game._n_stage_table) < horizon:  # as large as the values returned with it
+        object.__setattr__(game, "_n_stage_table", _freeze(values.copy()))
     # stage m plays the solution with n - m + 1 stages remaining
     return FiniteHorizonSolution(
-        horizon, np.array(values), MarkovStrategy.from_stages(xs[::-1]), MarkovStrategy.from_stages(ys[::-1])
+        horizon, values, MarkovStrategy.from_stages(xs[::-1]), MarkovStrategy.from_stages(ys[::-1])
     )
 
 

@@ -1,3 +1,5 @@
+import decimal
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,16 @@ class TestStagesToWeight:
                 assert stages_to_weight(float(discount), float(fraction)) == weight_horizon_scan(
                     float(discount), float(fraction)
                 )
+
+    def test_exact_at_small_discount(self):
+        # (1 - d)**M with 1 - d rounded to double once returned one stage more here
+        discount, fraction = 1.366262733417267e-07, 0.9666643614421794
+        stages = stages_to_weight(discount, fraction)
+        assert stages == 24_893_660
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            base, target = 1 - decimal.Decimal(discount), decimal.Decimal(fraction)
+            assert 1 - base**stages >= target > 1 - base ** (stages - 1)
 
     def test_monotone_in_fraction_and_discount(self):
         fractions = np.linspace(0.05, 0.9, 18)

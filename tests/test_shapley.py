@@ -5,14 +5,17 @@ from stochgame import (
     ConvergenceError,
     InputError,
     StochasticGame,
+    certify_epsilon_optimality,
     discounted_value,
     finite_value,
     finite_values,
+    guaranteed_value,
     limit_value_estimate,
     local_game_tensor,
     shapley_operator,
     solve_matrix_game,
 )
+from stochgame import shapley
 from stochgame.corpus import big_match, random_game, single_player_mdp
 
 from oracles import (
@@ -29,6 +32,11 @@ def scaled(game, factor):
     return StochasticGame(
         game.states, game.actions1, game.actions2, factor * game.payoff, game.transition
     )
+
+
+def twin_of(game):
+    """An equal but distinct game object, so nothing kept on ``game`` reaches it."""
+    return StochasticGame(game.states, game.actions1, game.actions2, game.payoff, game.transition, game.name)
 
 
 def constant_game(value, num_states=2):
@@ -307,6 +315,98 @@ class TestFiniteValue:
         pool += [ctor().game for ctor in CORPUS.values()]
         for game in pool:
             assert np.abs(finite_values(game, 15)).max() <= game.max_abs_payoff + 1e-12
+
+
+class TestNStageTable:
+    """finite_value leaves its values table on the game; finite_values reads it."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The (game, horizon) of every backward induction run."""
+        calls = []
+        real = shapley._backward_induction
+        monkeypatch.setattr(shapley, "_backward_induction", lambda g, n: calls.append((g, n)) or real(g, n))
+        return calls
+
+    @pytest.fixture
+    def game(self):
+        return random_game(8, 6, 6, seed=3).game
+
+    def test_value_certificate_and_values_run_one_induction(self, game, solves):
+        sol = finite_value(game, 150)
+        eps = certify_epsilon_optimality(game, (sol.x_strategies, sol.y_strategies), 150)
+        table = finite_values(game, 150)
+        assert solves == [(game, 150)]
+        assert eps <= 1e-9 * game.max_abs_payoff
+        assert table.tobytes() == sol.values.tobytes()
+
+    @pytest.mark.parametrize("horizon", [1, 50, 150])
+    def test_prefix_is_byte_identical_to_a_fresh_solve(self, game, solves, horizon):
+        finite_value(game, 150)
+        got = finite_values(game, horizon)
+        assert len(solves) == 1
+        fresh = finite_values(twin_of(game), horizon)
+        assert len(solves) == 2
+        assert got.shape == fresh.shape and got.tobytes() == fresh.tobytes()
+
+    def test_longer_horizon_solves_again(self, game, solves):
+        short = finite_value(game, 150).values
+        long = finite_values(game, 200)
+        assert solves == [(game, 150), (game, 200)]
+        assert long[:150].tobytes() == short.tobytes()
+
+    def test_only_the_longest_table_is_kept(self, game, solves):
+        finite_value(game, 150)
+        finite_value(game, 50)
+        finite_values(game, 150)
+        finite_value(game, 200)
+        finite_values(game, 200)
+        assert solves == [(game, 150), (game, 50), (game, 200)]
+        assert game._n_stage_table.shape == (200, game.num_states)
+        assert not game._n_stage_table.flags.writeable
+
+    def test_returned_tables_are_writable_copies(self, game):
+        sol = finite_value(game, 150)
+        table = finite_values(game, 100)
+        expected = table.copy()
+        table[:] = 0.0
+        sol.values[:] = 0.0
+        assert finite_values(game, 100).tobytes() == expected.tobytes()
+
+    def test_certificates_alone_keep_no_table(self, game, solves):
+        sol = discounted_value(game, 0.1)
+        guaranteed_value(game, sol.x, 40)
+        certify_epsilon_optimality(game, (sol.x, sol.y), 40)
+        assert solves == [(game, 40)]
+        assert len(game._n_stage_table) == 0
+
+    def test_twin_game_solves_again(self, game, solves):
+        finite_value(game, 150)
+        twin = twin_of(game)
+        assert twin == game
+        finite_values(twin, 150)
+        assert [g for g, _ in solves] == [game, twin] and solves[1][0] is twin
+
+
+class TestNonFiniteResults:
+    """A solve that overflows the double range raises instead of returning inf or nan."""
+
+    @pytest.fixture
+    def huge(self):
+        return scaled(big_match().game, 1e307)
+
+    def test_finite_values(self, huge):
+        with np.errstate(all="ignore"), pytest.raises(InputError, match="not finite"):
+            finite_values(huge, 1)
+
+    def test_finite_value(self, huge):
+        with np.errstate(all="ignore"), pytest.raises(InputError, match="not finite"):
+            finite_value(huge, 3)
+        assert len(huge._n_stage_table) == 0
+
+    def test_shapley_operator(self, huge):
+        with np.errstate(all="ignore"), pytest.raises(InputError, match="not finite"):
+            shapley_operator(huge, 0.5, np.zeros(huge.num_states))
 
 
 class TestKernelHints:
