@@ -1,9 +1,10 @@
 """Exact evaluation of strategy profiles and optimality diagnostics.
 
-Everything except :func:`monte_carlo_payoff` is exact up to rounding.  Stage
-recursions carry error of order ``horizon * 1e-14 * max_abs_payoff``; the matrix
-powers that read a stationary profile's far stages carry error that can grow like
-``eps / discount``, measured at most ``2.2e-12 * max_abs_payoff`` down to 1e-6.
+Everything except :func:`monte_carlo_payoff` is exact up to rounding.  The backward recursions
+stay within ``1e-14 * max_abs_payoff`` of exact rationals on the 2x2 corpus games at n = 400
+(measured at most 1.8e-15; ``TestExactReference`` in ``tests/test_shapley.py`` and
+``tests/test_evaluation.py``); matrix powers that read a stationary profile's far stages carry
+error that can grow like ``eps / discount``, measured at most ``2.2e-12 * max_abs_payoff`` down to 1e-6.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from .game import (
     MarkovStrategy,
     StationaryStrategy,
     StochasticGame,
+    _check_horizon,
     point_mass,
     profile_stage_payoffs,
     profile_transition_matrix,
@@ -60,8 +62,7 @@ def cumulative_stage(fraction: float, horizon: int) -> int:
 
 
 def _as_markov(strategy, horizon: int, who: str) -> MarkovStrategy:
-    if not isinstance(horizon, int) or horizon < 1:
-        raise InputError("horizon must be a positive integer")
+    _check_horizon(horizon)
     if isinstance(strategy, StationaryStrategy):
         return MarkovStrategy.from_stationary(strategy, horizon)
     if isinstance(strategy, MarkovStrategy):
@@ -276,18 +277,24 @@ def _response_levels(
     Stage m mixes the stage payoff with weight 1/(n - m + 1).  Returns the
     full (horizon + 1, states) table; row m-1 is the level from stage m.
     """
-    rule = "si,sij...->sj..." if adversary_minimizes else "sj,sij...->si..."
-    levels = np.zeros((horizon + 1, game.num_states))
-    w = levels[horizon]
+    rule, best = ("si,sij...->sj...", np.minimum) if adversary_minimizes else ("sj,sij...->si...", np.maximum)
+    states, actions = game.num_states, game.payoff.shape[2 if adversary_minimizes else 1]
+    levels = np.zeros((horizon + 1, states))
+    # one set of buffers per call, in (actions, states) layout so ``best`` reduces over the leading
+    # axis; the kernel keeps the einsum's layout, since a matmul over another changes the last bit
+    own_payoff, ahead, totals = np.empty((3, actions, states))
+    own_kernel = np.empty((states, actions, states))
     m = horizon
     for length, stat in reversed(list(strategy.runs(horizon))):
-        own_payoff = np.einsum(rule, stat.probs, game.payoff)
-        own_kernel = np.einsum(rule, stat.probs, game.transition)
+        np.einsum(rule, stat.probs, game.payoff, out=own_payoff.T)
+        np.einsum(rule, stat.probs, game.transition, out=own_kernel)
         for _ in range(length):
             weight = 1.0 / (horizon - m + 1)
-            totals = weight * own_payoff + (1.0 - weight) * (own_kernel @ w)
-            w = totals.min(axis=1) if adversary_minimizes else totals.max(axis=1)
-            levels[m - 1] = w
+            # weight * own_payoff + (1 - weight) * (own_kernel @ w), w = levels[m]
+            np.matmul(own_kernel, levels[m], out=ahead.T)
+            np.multiply(ahead, 1.0 - weight, out=ahead)
+            np.add(np.multiply(own_payoff, weight, out=totals), ahead, out=totals)
+            best.reduce(totals, axis=0, out=levels[m - 1])
             m -= 1
     return levels
 
@@ -369,12 +376,10 @@ def value_drift_diagnostic(
     traj = trajectory(game, sigma, rho, initial_state, horizon, limit_value=limit_value)
     curve = traj.value_curve
     start_value = float(curve[0])
-    drifts = tuple(
-        float(curve[cumulative_stage(t, horizon)] - start_value) for t in grid
-    )
+    drifts = tuple(float(curve[cumulative_stage(t, horizon)] - start_value) for t in grid)
     sup_drift = max(abs(d) for d in drifts)
 
-    within_max = within_target = global_max = global_target = None
+    blocks = {}
     schedule = getattr(profile, "schedule", None)
     if schedule is not None:
         a, p = schedule.block_length, schedule.num_blocks
@@ -384,21 +389,9 @@ def value_drift_diagnostic(
             float(np.abs(curve[k * a : (k + 1) * a + 1] - curve[k * a]).max())
             for k in range(min(p, horizon // a + 1))
         )
-        within_target = p**-2
-        scheduled = curve[: p * a] - start_value
-        global_max = float(np.abs(scheduled).max())
-        global_target = 2.0 / p
-    return ValueDriftReport(
-        horizon,
-        traj.initial_state,
-        grid,
-        drifts,
-        sup_drift,
-        within_max,
-        within_target,
-        global_max,
-        global_target,
-    )
+        global_max = float(np.abs(curve[: p * a] - start_value).max())
+        blocks = dict(within_block_max=within_max, within_block_target=p**-2, global_max=global_max, global_target=2.0 / p)
+    return ValueDriftReport(horizon, traj.initial_state, grid, drifts, sup_drift, **blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +439,7 @@ def monte_carlo_payoff(
     reproducibility contract, pinned by the tests: the same seed always
     yields the same estimate.
     """
-    if not isinstance(trials, int) or trials < 1:
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise InputError("trials must be a positive integer")
     sigma, rho = _profile_strategies(profile, horizon)
     start = game.state_index(initial_state)

@@ -197,6 +197,12 @@ class StationaryStrategy:
         return cls(probs)
 
 
+def _check_horizon(horizon) -> int:
+    if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
+        raise InputError("horizon must be a positive integer")
+    return horizon
+
+
 @dataclass(frozen=True, eq=False)
 class MarkovStrategy:
     """Stage-dependent strategy stored as run-length segments.
@@ -210,8 +216,7 @@ class MarkovStrategy:
     segments: tuple[tuple[int, StationaryStrategy], ...]
 
     def __post_init__(self):
-        if not isinstance(self.horizon, int) or self.horizon < 1:
-            raise InputError("horizon must be a positive integer")
+        _check_horizon(self.horizon)
         if not self.segments:
             raise InputError("a Markov strategy needs at least one segment")
         total = 0

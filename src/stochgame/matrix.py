@@ -190,23 +190,30 @@ def solve_batch(stack, hint=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _solve_batch(L, hint)
 
 
+def _value_2x2(L: np.ndarray):
+    """Shapley & Snow (1950) values of a (batch, 2, 2) stack, and the parts its strategies reuse."""
+    # elementwise: reductions over length-2 axes cost several times more than np.minimum
+    a, b, c, d = L[:, 0, 0], L[:, 0, 1], L[:, 1, 0], L[:, 1, 1]
+    row0, col0 = np.minimum(a, b), np.maximum(a, c)
+    values = np.maximum(row0, np.minimum(c, d))
+    mixed = values != np.minimum(col0, np.maximum(b, d))
+    # No saddle means both entries of one diagonal exceed both of the other: a - b, d - c,
+    # a - c and d - b share one strict sign, so no denominator vanishes where mixed.
+    ab, ac, dc = a - b, a - c, d - c
+    denom = ab + dc
+    # (ad - bc) / (a + d - b - c) in shift-invariant form: no cancellation when entries nearly coincide
+    shift = ab * ac
+    np.subtract(a, np.divide(shift, denom, out=shift, where=mixed), out=values, where=mixed)
+    return values, (mixed, row0, col0, ac, dc, denom)
+
+
 def _solve_batch(L: np.ndarray, hint=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if L.shape[1:] == (2, 2):
-        # elementwise: reductions over length-2 axes cost several times more than np.minimum
-        a, b, c, d = L[:, 0, 0], L[:, 0, 1], L[:, 1, 0], L[:, 1, 1]
-        row0, row1, col0, col1 = np.minimum(a, b), np.minimum(c, d), np.maximum(a, c), np.maximum(b, d)
-        values = np.maximum(row0, row1)
-        mixed = values != np.minimum(col0, col1)
-        # No saddle means both entries of one diagonal exceed both of the other: a - b, d - c,
-        # a - c and d - b share one strict sign, so no denominator vanishes where mixed.
-        ab, ac, dc, db = a - b, a - c, d - c, d - b
-        denom = ab + dc
-        # (ad - bc) / (a + d - b - c) in shift-invariant form: no cancellation
-        # when the entries nearly coincide
-        shift = np.divide(ab * ac, denom, out=np.zeros_like(a), where=mixed)
-        np.subtract(a, shift, out=values, where=mixed)
-        x0 = np.divide(dc, denom, out=(row0 >= row1) * 1.0, where=mixed)
-        y0 = np.divide(db, ac + db, out=(col0 <= col1) * 1.0, where=mixed)
+        values, (mixed, row0, col0, ac, dc, denom) = _value_2x2(L)
+        db = L[:, 1, 1] - L[:, 0, 1]
+        # at a saddle, the first row whose minimum and the first column whose maximum is the value
+        x0 = np.divide(dc, denom, out=(row0 == values) * 1.0, where=mixed)
+        y0 = np.divide(db, ac + db, out=(col0 == values) * 1.0, where=mixed)
         return values, np.array([x0, 1.0 - x0]).T, np.array([y0, 1.0 - y0]).T
     row_min, col_max = L.min(axis=2), L.max(axis=1)
     values = row_min.max(axis=1)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .game import MarkovStrategy, StationaryStrategy, StochasticGame, _freeze
-from .matrix import _solve_batch
+from .game import MarkovStrategy, StationaryStrategy, StochasticGame, _check_horizon, _freeze
+from .matrix import _solve_batch, _value_2x2
 
 #: Player 2's policy switches only on a gain above this share of max|g|, so
 #: rounding ties cannot make policy iteration cycle
@@ -206,21 +206,18 @@ def discounted_value(
     )
 
 
-def _check_horizon(horizon) -> int:
-    if not isinstance(horizon, int) or horizon < 1:
-        raise InputError("horizon must be a positive integer")
-    return horizon
-
-
 def _backward_induction(game: StochasticGame, horizon: int):
-    """Yield v_r and both players' optimal local strategies, for r = 1..n
-    stages remaining; the caller keeps what it needs."""
+    """Yield v_r, its local games and both players' optimal local strategies, for r = 1..n stages
+    remaining; on 2x2 games, whose closed form takes no hint, a stage solves only its values and
+    yields None for the strategies."""
     v, hint = np.zeros(game.num_states), None
     for r in range(1, horizon + 1):
-        # the previous stage's strategies hint this stage's supports
-        v, xs, ys = _solve_batch(local_game_tensor(game, 1.0 / r, v), hint)
-        hint = xs, ys
-        yield v, xs, ys
+        local = local_game_tensor(game, 1.0 / r, v)
+        if local.shape[1:] == (2, 2):
+            v = _value_2x2(local)[0]
+        else:  # the previous stage's strategies hint this stage's supports
+            v, *hint = _solve_batch(local, hint)
+        yield v, local, hint
 
 
 def finite_values(game: StochasticGame, horizon: int) -> np.ndarray:
@@ -232,10 +229,8 @@ def finite_values(game: StochasticGame, horizon: int) -> np.ndarray:
     """
     if len(game._n_stage_table) >= _check_horizon(horizon):
         return game._n_stage_table[:horizon].copy()
-    values = np.empty((horizon, game.num_states))
-    for row, (v, _, _) in zip(values, _backward_induction(game, horizon)):
-        row[:] = v
-    return _finite(values)
+    stages = (v for v, _, _ in _backward_induction(game, horizon))
+    return _finite(np.fromiter(stages, np.dtype((float, game.num_states)), count=horizon))
 
 
 def finite_value(game: StochasticGame, horizon: int) -> FiniteHorizonSolution:
@@ -245,9 +240,19 @@ def finite_value(game: StochasticGame, horizon: int) -> FiniteHorizonSolution:
     local game with r = n - m + 1 remaining stages (backward induction).  The longest
     values table solved stays on the game, as a read-only copy, for :func:`finite_values`.
     """
-    # wrap each stage as it comes, so the kernel's arrays are not held twice
-    stages = _backward_induction(game, _check_horizon(horizon))
-    values, xs, ys = zip(*((v, StationaryStrategy(x), StationaryStrategy(y)) for v, x, y in stages))
+    values, xs, ys, batch = [], [], [], []
+    for v, local, strategies in _backward_induction(game, _check_horizon(horizon)):
+        values.append(v)
+        if strategies is None:  # 2x2: the strategies of every stage come from one batch below
+            batch.append(local)
+        else:  # wrap each stage as it comes, so the kernel's arrays are not held twice
+            for out, probs in zip((xs, ys), strategies):
+                out.append(StationaryStrategy(probs))
+    # the closed form works elementwise: the bytes of per-stage calls, in chunks of 32k local games
+    step = max(1, 2**15 // game.num_states)
+    for k in range(0, len(batch), step):
+        for out, probs in zip((xs, ys), _solve_batch(np.concatenate(batch[k : k + step]))[1:]):
+            out += map(StationaryStrategy, probs.reshape(-1, game.num_states, 2))
     values = _finite(np.array(values))
     if len(game._n_stage_table) < horizon:  # as large as the values returned with it
         object.__setattr__(game, "_n_stage_table", _freeze(values.copy()))

@@ -348,3 +348,78 @@ def weight_horizon_scan(discount, fraction, cap=10**6):
             return m
         term *= 1 - d
     raise AssertionError("scan cap exceeded")
+
+
+# ---------------------------------------------------------------------------
+# Exact rational backward recursions
+# ---------------------------------------------------------------------------
+
+
+def _exact_game(game):
+    """Payoffs and transitions as nested lists of Fractions, each equal to its double."""
+    payoff = [[[Fraction(g) for g in row] for row in state] for state in game.payoff.tolist()]
+    transition = [[[[Fraction(p) for p in cell] for cell in row] for row in state] for state in game.transition.tolist()]
+    return payoff, transition
+
+
+def _exact_expectation(probs, values):
+    return sum(p * v for p, v in zip(probs, values) if p)
+
+
+def exact_value_2x2(a, b, c, d):
+    """Value of [[a, b], [c, d]] by Shapley & Snow (1950): the saddle value if
+    there is one, else (ad - bc) / (a + d - b - c)."""
+    low = max(min(a, b), min(c, d))
+    if low == min(max(a, c), max(b, d)):
+        return low
+    return (a * d - b * c) / (a + d - b - c)
+
+
+def exact_finite_values(game, horizon):
+    """v_1..v_n of a 2x2 game in exact rational arithmetic, as lists of Fractions.
+
+    Stage r weights the payoff by exactly 1/r; the double inputs are read
+    exactly.  The denominators stay small only on games like the corpus ones,
+    whose local games are saddles or have few distinct entries.
+    """
+    assert game.payoff.shape[1:] == (2, 2)
+    payoff, transition = _exact_game(game)
+    v = [Fraction(0)] * game.num_states
+    out = []
+    for r in range(1, horizon + 1):
+        weight = Fraction(1, r)
+        local = [
+            [[weight * g + (1 - weight) * _exact_expectation(q, v) for g, q in zip(grow, qrow)]
+             for grow, qrow in zip(gs, qs)]
+            for gs, qs in zip(payoff, transition)
+        ]
+        v = [exact_value_2x2(L[0][0], L[0][1], L[1][0], L[1][1]) for L in local]
+        out.append(v)
+    return out
+
+
+def exact_guarantee_levels(game, sigma, horizon):
+    """Best-response levels of Player 1's Markov strategy ``sigma`` in exact
+    rational arithmetic: row m - 1 is the worst average payoff over stages m..n,
+    row n the zero terminal; the strategy's doubles are read exactly."""
+    payoff, transition = _exact_game(game)
+    w = [Fraction(0)] * game.num_states
+    levels = [w]
+    for m in range(horizon, 0, -1):
+        weight = Fraction(1, horizon - m + 1)
+        x = [[Fraction(p) for p in row] for row in sigma.at_stage(m).probs.tolist()]
+        w = [
+            min(
+                _exact_expectation(xs, [weight * gs[i][j] + (1 - weight) * _exact_expectation(qs[i][j], w)
+                                        for i in range(len(xs))])
+                for j in range(len(gs[0]))
+            )
+            for xs, gs, qs in zip(x, payoff, transition)
+        ]
+        levels.append(w)
+    return levels[::-1]
+
+
+def exact_error(got, exact) -> Fraction:
+    """Largest |got - exact| over a float table and a table of Fractions, exactly."""
+    return max(abs(Fraction(float(g)) - e) for grow, erow in zip(got, exact) for g, e in zip(grow, erow))

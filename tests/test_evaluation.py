@@ -1,4 +1,5 @@
 import decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,9 +26,11 @@ from stochgame import (
     trajectory,
     value_drift_diagnostic,
 )
-from stochgame.corpus import big_match, random_game, single_player_mdp, two_state_cycle
+from stochgame.corpus import CORPUS, big_match, random_game, single_player_mdp, two_state_cycle
 
 from oracles import (
+    exact_error,
+    exact_guarantee_levels,
     finite_values_recursion,
     long_double_discounted_cumulative,
     path_enumeration_discounted_cumulative,
@@ -404,6 +407,106 @@ class TestCertifyEpsilonOptimality:
         profile = adapted_profile(game, 12, 3, tol=1e-8)
         eps = certify_epsilon_optimality(game, profile, 12)
         assert eps >= -1e-8
+
+
+def reference_response_levels(game, strategy, horizon, adversary_minimizes):
+    """The best-response recursion written with fresh arrays per stage: one einsum
+    per run of the strategy, then weight * payoff + (1 - weight) * (kernel @ w)
+    and the min or max over the adversary's actions, per stage."""
+    rule = "si,sij...->sj..." if adversary_minimizes else "sj,sij...->si..."
+    levels = np.zeros((horizon + 1, game.num_states))
+    w = levels[horizon]
+    m = horizon
+    for length, stat in reversed(list(strategy.runs(horizon))):
+        own_payoff = np.einsum(rule, stat.probs, game.payoff)
+        own_kernel = np.einsum(rule, stat.probs, game.transition)
+        for _ in range(length):
+            weight = 1.0 / (horizon - m + 1)
+            totals = weight * own_payoff + (1.0 - weight) * (own_kernel @ w)
+            w = totals.min(axis=1) if adversary_minimizes else totals.max(axis=1)
+            levels[m - 1] = w
+            m -= 1
+    return levels
+
+
+#: the corpus, and random games with equal and unequal action counts, so both players'
+#: response buffers take both shapes
+PINNED_GAMES = {name: ctor().game for name, ctor in CORPUS.items()} | {
+    "x".join(map(str, shape)): random_game(*shape, seed=21).game
+    for shape in ((3, 2, 2), (40, 2, 2), (5, 3, 3), (8, 6, 6), (6, 2, 5))
+}
+
+
+def pinned_profile(game, kind, horizon):
+    if kind == "stationary":
+        sol = discounted_value(game, 0.05)
+        return sol.x, sol.y
+    if kind == "markov":
+        sol = finite_value(game, horizon)
+        return sol.x_strategies, sol.y_strategies
+    profile = adapted_profile(game, horizon)
+    return profile.sigma, profile.rho
+
+
+class TestSameBytesAsEinsumLoop:
+    """The response recursion reuses one set of buffers per call and returns the bytes
+    of the loop that allocates fresh arrays per stage."""
+
+    @pytest.mark.parametrize("kind", ["stationary", "markov", "adapted"])
+    @pytest.mark.parametrize("name", sorted(PINNED_GAMES))
+    def test_levels_and_certificate(self, name, kind):
+        game, horizon = PINNED_GAMES[name], 60
+        sigma, rho = pinned_profile(game, kind, horizon)
+        markov = [evaluation._as_markov(s, horizon, who) for s, who in ((sigma, "1"), (rho, "2"))]
+        low = reference_response_levels(game, markov[0], horizon, True)
+        high = reference_response_levels(game, markov[1], horizon, False)
+        got = guaranteed_value(game, sigma, horizon).levels
+        assert got.shape == low.shape and got.tobytes() == low.tobytes()
+        # v_n: finite_values, whose bytes tests/test_shapley.py pins to per-stage kernel calls
+        v_n = finite_values(game, horizon)[-1]
+        expected = float(max((v_n - low[0]).max(), (high[0] - v_n).max()))
+        assert certify_epsilon_optimality(game, (sigma, rho), horizon) == expected
+
+
+class TestExactReference:
+    """Rounding error of the best-response levels against exact rational arithmetic."""
+
+    @pytest.mark.parametrize("make_game", [big_match, two_state_cycle])
+    def test_guarantee_levels_within_1e14_of_exact(self, make_game):
+        # measured: 1.8e-15 on the Big Match and 8.9e-16 on the two-state cycle
+        game = make_game().game
+        sigma = finite_value(game, 400).x_strategies
+        error = exact_error(guaranteed_value(game, sigma, 400).levels, exact_guarantee_levels(game, sigma, 400))
+        assert error <= Fraction(1e-14) * Fraction(game.max_abs_payoff)
+
+
+class TestBoolArguments:
+    """``bool`` is an ``int``, but ``True`` is neither a horizon nor a trial count."""
+
+    @pytest.fixture
+    def setup(self):
+        game = big_match().game
+        return game, random_profile(game, 5)
+
+    def test_trajectory(self, setup):
+        game, (x, y) = setup
+        with pytest.raises(InputError, match="horizon must be a positive integer"):
+            trajectory(game, x, y, 0, True)
+
+    def test_monte_carlo_trials(self, setup):
+        game, profile = setup
+        with pytest.raises(InputError, match="trials must be a positive integer"):
+            monte_carlo_payoff(game, profile, 0, 5, trials=True, seed=0)
+
+    def test_guaranteed_value(self, setup):
+        game, (x, _) = setup
+        with pytest.raises(InputError, match="horizon must be a positive integer"):
+            guaranteed_value(game, x, True)
+
+    def test_certify_epsilon_optimality(self, setup):
+        game, profile = setup
+        with pytest.raises(InputError, match="horizon must be a positive integer"):
+            certify_epsilon_optimality(game, profile, True)
 
 
 class TestValueDrift:

@@ -140,6 +140,11 @@ class TestStrategies:
         with pytest.raises(InputError):
             MarkovStrategy(5, ((2, stat),))
 
+    def test_markov_bool_horizon_rejected(self):
+        # bool is an int, and True would pass as a one-stage horizon
+        with pytest.raises(InputError, match="horizon must be a positive integer"):
+            MarkovStrategy(True, ((1, StationaryStrategy.uniform(1, 2)),))
+
     def test_markov_run_length_compression(self):
         a = StationaryStrategy.pure(1, 2, 0)
         b = StationaryStrategy.pure(1, 2, 1)
