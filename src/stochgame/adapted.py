@@ -149,8 +149,7 @@ def adapted_profile(
         provider = DiscountedProfileProvider(game, 1e-8 if tol is None else tol)
     elif tol is not None and float(tol) != provider.tol:
         raise InputError(f"tol {tol!r} differs from the provider's tol {provider.tol!r}")
-    segments_x: list[tuple[int, StationaryStrategy]] = []
-    segments_y: list[tuple[int, StationaryStrategy]] = []
+    lengths, xs, ys = [], [], []
     for block, discount in enumerate(schedule.discounts):
         try:
             sol = provider.solution(discount)
@@ -161,10 +160,10 @@ def adapted_profile(
                 iterations=exc.iterations,
             ) from exc
         first, last = schedule.block_bounds(block)
-        segments_x.append((last - first + 1, sol.x))
-        segments_y.append((last - first + 1, sol.y))
-    sigma = MarkovStrategy(horizon, tuple(segments_x))
-    rho = MarkovStrategy(horizon, tuple(segments_y))
+        lengths.append(last - first + 1)
+        xs.append(sol.x.probs)
+        ys.append(sol.y.probs)
+    sigma, rho = MarkovStrategy(lengths, xs), MarkovStrategy(lengths, ys)
     return AdaptedProfile(horizon, schedule, sigma, rho, provider.ident, provider.tol)
 
 

@@ -61,20 +61,23 @@ def cumulative_stage(fraction: float, horizon: int) -> int:
     return max(1, min(horizon, math.ceil(fraction * horizon - 1e-9)))
 
 
-def _as_markov(strategy, horizon: int, who: str) -> MarkovStrategy:
+def _as_markov(game: StochasticGame, strategy, horizon: int, player: int) -> MarkovStrategy:
+    """Player ``player``'s strategy as a Markov strategy at least ``horizon`` stages long whose
+    tables have that player's (states x actions) shape in ``game``."""
     _check_horizon(horizon)
+    who = f"Player {player}"
     if isinstance(strategy, StationaryStrategy):
-        return MarkovStrategy.from_stationary(strategy, horizon)
-    if isinstance(strategy, MarkovStrategy):
-        if strategy.horizon < horizon:
-            raise InputError(
-                f"{who} strategy horizon {strategy.horizon} is shorter than the requested {horizon}"
-            )
-        return strategy
-    raise InputError(f"{who} strategy must be a StationaryStrategy or MarkovStrategy")
+        strategy = MarkovStrategy.from_stationary(strategy, horizon)
+    elif not isinstance(strategy, MarkovStrategy):
+        raise InputError(f"{who} strategy must be a StationaryStrategy or MarkovStrategy")
+    elif strategy.horizon < horizon:
+        raise InputError(f"{who} strategy horizon {strategy.horizon} is shorter than the requested {horizon}")
+    if strategy.probs.shape[1:] != (game.num_states, game.payoff.shape[player]):
+        raise InputError(f"{who} strategy shape does not match the game")
+    return strategy
 
 
-def _profile_strategies(profile, horizon: int) -> tuple[MarkovStrategy, MarkovStrategy]:
+def _profile_strategies(game: StochasticGame, profile, horizon: int) -> tuple[MarkovStrategy, MarkovStrategy]:
     if hasattr(profile, "sigma") and hasattr(profile, "rho"):
         sigma, rho = profile.sigma, profile.rho
     else:
@@ -82,21 +85,20 @@ def _profile_strategies(profile, horizon: int) -> tuple[MarkovStrategy, MarkovSt
             sigma, rho = profile
         except (TypeError, ValueError):
             raise InputError("profile must be an AdaptedProfile or a (sigma, rho) pair") from None
-    return _as_markov(sigma, horizon, "Player 1"), _as_markov(rho, horizon, "Player 2")
+    return _as_markov(game, sigma, horizon, 1), _as_markov(game, rho, horizon, 2)
 
 
 def _joint_runs(sigma: MarkovStrategy, rho: MarkovStrategy, horizon: int):
-    """Yield (length, x, y) runs over which both strategies are constant."""
-    runs2 = iter(rho.runs(horizon))
-    len2, y = 0, None
-    for len1, x in sigma.runs(horizon):
-        while len1 > 0:
-            if len2 == 0:
-                len2, y = next(runs2)
-            take = min(len1, len2)
-            yield take, x, y
-            len1 -= take
-            len2 -= take
+    """Yield (length, x, y) runs of the first ``horizon`` stages over which both strategies'
+    tables are constant: the joint runs end where either strategy's run ends."""
+    ends = [np.minimum(np.cumsum(strategy.lengths), horizon) for strategy in (sigma, rho)]
+    # the last stage of every run, merged in order: a stage that ends a run of both strategies
+    # gives an empty run, skipped (np.union1d would import numpy.ma, about 1 MB, on first use)
+    joint = np.insert(ends[0], np.searchsorted(*ends), ends[1])
+    runs1, runs2 = (np.searchsorted(e, joint).tolist() for e in ends)
+    for length, k1, k2 in zip(np.diff(joint, prepend=0).tolist(), runs1, runs2):
+        if length:
+            yield length, sigma.probs[k1], rho.probs[k2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +143,7 @@ def trajectory(
     When ``limit_value`` is given, also records the expected reference value
     of the state at every stage 1..n+1.
     """
-    sigma, rho = _as_markov(sigma, horizon, "Player 1"), _as_markov(rho, horizon, "Player 2")
+    sigma, rho = _as_markov(game, sigma, horizon, 1), _as_markov(game, rho, horizon, 2)
     start = game.state_index(initial_state)
     vstar = None if limit_value is None else _state_vector(game, limit_value, "limit_value")
 
@@ -150,8 +152,8 @@ def trajectory(
     curve = np.empty(horizon + 1) if vstar is not None else None
     m = 0
     for length, x, y in _joint_runs(sigma, rho, horizon):
-        rewards = profile_stage_payoffs(game, x, y)
-        kernel = profile_transition_matrix(game, x, y)
+        rewards = np.einsum("si,sj,sij->s", x, y, game.payoff)
+        kernel = np.einsum("si,sj,sijt->st", x, y, game.transition)
         for _ in range(length):
             if curve is not None:
                 curve[m] = dist @ vstar
@@ -196,7 +198,7 @@ def constant_payoff_curve(
     """Deviation of the cumulative payoff from the linear growth t * v*(start)."""
     grid = _t_grid(t_grid)
     vstar = _state_vector(game, limit_value, "limit_value")
-    sigma, rho = _profile_strategies(profile, horizon)
+    sigma, rho = _profile_strategies(game, profile, horizon)
     traj = trajectory(game, sigma, rho, initial_state, horizon)
     start_value = float(vstar[traj.initial_state])
     stages = tuple(cumulative_stage(t, horizon) for t in grid)
@@ -285,9 +287,9 @@ def _response_levels(
     own_payoff, ahead, totals = np.empty((3, actions, states))
     own_kernel = np.empty((states, actions, states))
     m = horizon
-    for length, stat in reversed(list(strategy.runs(horizon))):
-        np.einsum(rule, stat.probs, game.payoff, out=own_payoff.T)
-        np.einsum(rule, stat.probs, game.transition, out=own_kernel)
+    for length, probs in reversed(list(strategy.runs(horizon))):
+        np.einsum(rule, probs, game.payoff, out=own_payoff.T)
+        np.einsum(rule, probs, game.transition, out=own_kernel)
         for _ in range(length):
             weight = 1.0 / (horizon - m + 1)
             # weight * own_payoff + (1 - weight) * (own_kernel @ w), w = levels[m]
@@ -315,7 +317,7 @@ def guaranteed_value(game: StochasticGame, sigma, horizon: int) -> GuaranteeCert
     Markov decision problem, so the backward min recursion attains the
     minimum over all strategies.  v_n is solved once per game and horizon.
     """
-    sigma = _as_markov(sigma, horizon, "Player 1")
+    sigma = _as_markov(game, sigma, horizon, 1)
     levels = _response_levels(game, sigma, horizon, adversary_minimizes=True)
     epsilon = float((_n_stage_value(game, horizon) - levels[0]).max())
     return GuaranteeCertificate(horizon, levels, epsilon)
@@ -329,7 +331,7 @@ def certify_epsilon_optimality(game: StochasticGame, profile, horizon: int) -> f
     value v_n, solved once per game and horizon.  Values within solver noise
     of zero certify optimality.
     """
-    sigma, rho = _profile_strategies(profile, horizon)
+    sigma, rho = _profile_strategies(game, profile, horizon)
     low = _response_levels(game, sigma, horizon, adversary_minimizes=True)[0]
     high = _response_levels(game, rho, horizon, adversary_minimizes=False)[0]
     v_n = _n_stage_value(game, horizon)
@@ -372,7 +374,7 @@ def value_drift_diagnostic(
 ) -> ValueDriftReport:
     """Measure how far play moves the expected reference value of the state."""
     grid = _t_grid(t_grid)
-    sigma, rho = _profile_strategies(profile, horizon)
+    sigma, rho = _profile_strategies(game, profile, horizon)
     traj = trajectory(game, sigma, rho, initial_state, horizon, limit_value=limit_value)
     curve = traj.value_curve
     start_value = float(curve[0])
@@ -441,7 +443,7 @@ def monte_carlo_payoff(
     """
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise InputError("trials must be a positive integer")
-    sigma, rho = _profile_strategies(profile, horizon)
+    sigma, rho = _profile_strategies(game, profile, horizon)
     start = game.state_index(initial_state)
     rng = np.random.default_rng(seed)
     kernel_cdf, kernel_width = _padded_cdf(game.transition)
@@ -449,8 +451,8 @@ def monte_carlo_payoff(
     states = np.full(trials, start, dtype=np.intp)
     totals = np.zeros(trials)
     for length, x, y in _joint_runs(sigma, rho, horizon):
-        x_cdf, x_width = _padded_cdf(x.probs)
-        y_cdf, y_width = _padded_cdf(y.probs)
+        x_cdf, x_width = _padded_cdf(x)
+        y_cdf, y_width = _padded_cdf(y)
         for _ in range(length):
             acts1 = _sample_rows(x_cdf, x_width, states, rng.random(trials))
             acts2 = _sample_rows(y_cdf, y_width, states, rng.random(trials))

@@ -245,21 +245,20 @@ def finite_value(game: StochasticGame, horizon: int) -> FiniteHorizonSolution:
         values.append(v)
         if strategies is None:  # 2x2: the strategies of every stage come from one batch below
             batch.append(local)
-        else:  # wrap each stage as it comes, so the kernel's arrays are not held twice
+        else:
             for out, probs in zip((xs, ys), strategies):
-                out.append(StationaryStrategy(probs))
+                out.append(probs[None])
     # the closed form works elementwise: the bytes of per-stage calls, in chunks of 32k local games
     step = max(1, 2**15 // game.num_states)
     for k in range(0, len(batch), step):
         for out, probs in zip((xs, ys), _solve_batch(np.concatenate(batch[k : k + step]))[1:]):
-            out += map(StationaryStrategy, probs.reshape(-1, game.num_states, 2))
+            out.append(probs.reshape(-1, game.num_states, 2)[::-1])
     values = _finite(np.array(values))
     if len(game._n_stage_table) < horizon:  # as large as the values returned with it
         object.__setattr__(game, "_n_stage_table", _freeze(values.copy()))
-    # stage m plays the solution with n - m + 1 stages remaining
-    return FiniteHorizonSolution(
-        horizon, values, MarkovStrategy.from_stages(xs[::-1]), MarkovStrategy.from_stages(ys[::-1])
-    )
+    # pieces in reverse: stage m plays the solution with n - m + 1 stages remaining
+    x, y = (MarkovStrategy.from_stages(np.concatenate(pieces[::-1])) for pieces in (xs, ys))
+    return FiniteHorizonSolution(horizon, values, x, y)
 
 
 def limit_value_estimate(

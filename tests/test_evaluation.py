@@ -1,4 +1,5 @@
 import decimal
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -417,9 +418,9 @@ def reference_response_levels(game, strategy, horizon, adversary_minimizes):
     levels = np.zeros((horizon + 1, game.num_states))
     w = levels[horizon]
     m = horizon
-    for length, stat in reversed(list(strategy.runs(horizon))):
-        own_payoff = np.einsum(rule, stat.probs, game.payoff)
-        own_kernel = np.einsum(rule, stat.probs, game.transition)
+    for length, probs in reversed(list(strategy.runs(horizon))):
+        own_payoff = np.einsum(rule, probs, game.payoff)
+        own_kernel = np.einsum(rule, probs, game.transition)
         for _ in range(length):
             weight = 1.0 / (horizon - m + 1)
             totals = weight * own_payoff + (1.0 - weight) * (own_kernel @ w)
@@ -457,7 +458,7 @@ class TestSameBytesAsEinsumLoop:
     def test_levels_and_certificate(self, name, kind):
         game, horizon = PINNED_GAMES[name], 60
         sigma, rho = pinned_profile(game, kind, horizon)
-        markov = [evaluation._as_markov(s, horizon, who) for s, who in ((sigma, "1"), (rho, "2"))]
+        markov = [evaluation._as_markov(game, s, horizon, player) for s, player in ((sigma, 1), (rho, 2))]
         low = reference_response_levels(game, markov[0], horizon, True)
         high = reference_response_levels(game, markov[1], horizon, False)
         got = guaranteed_value(game, sigma, horizon).levels
@@ -507,6 +508,95 @@ class TestBoolArguments:
         game, profile = setup
         with pytest.raises(InputError, match="horizon must be a positive integer"):
             certify_epsilon_optimality(game, profile, True)
+
+
+class TestStrategyShapeChecked:
+    """Every entry point checks each strategy's (states x actions) shape against the game once,
+    in ``_as_markov``, and refuses a mismatch with InputError, never a numpy error or a number."""
+
+    #: Player 2 strategies that do not fit the Big Match (3 states, 2 x 2 actions)
+    WRONG = {
+        "one_action": StationaryStrategy.uniform(3, 1),
+        "three_actions": StationaryStrategy.uniform(3, 3),
+        "five_states": StationaryStrategy.uniform(5, 2),
+        "markov_three_actions": MarkovStrategy.from_stationary(StationaryStrategy.uniform(3, 3), 10),
+    }
+
+    @pytest.fixture
+    def game(self):
+        return big_match().game
+
+    @pytest.mark.parametrize("wrong", sorted(WRONG))
+    def test_monte_carlo_payoff(self, game, wrong):
+        x = StationaryStrategy.uniform(3, 2)
+        with pytest.raises(InputError, match="Player 2 strategy shape does not match the game"):
+            monte_carlo_payoff(game, (x, self.WRONG[wrong]), 0, 10, trials=50, seed=0)
+
+    @pytest.mark.parametrize("wrong", sorted(WRONG))
+    def test_guaranteed_value(self, game, wrong):
+        # the wrong strategies are Player 1's here: the players' action counts are equal
+        with pytest.raises(InputError, match="Player 1 strategy shape does not match the game"):
+            guaranteed_value(game, self.WRONG[wrong], 10)
+
+    @pytest.mark.parametrize("wrong", sorted(WRONG))
+    def test_certify_epsilon_optimality(self, game, wrong):
+        x = StationaryStrategy.uniform(3, 2)
+        with pytest.raises(InputError, match="Player 2 strategy shape does not match the game"):
+            certify_epsilon_optimality(game, (x, self.WRONG[wrong]), 10)
+
+
+class TestSameBytesOverJointRuns:
+    """Trajectories and Monte Carlo estimates of profiles whose run boundaries interleave,
+    at a horizon shorter than both strategies: ``finite_value``'s sigma (one run per stage)
+    against an adapted rho (one run per block), and two adapted strategies whose blocks
+    differ.  Recorded when each joint run was found by walking both strategies' runs; the
+    joint runs are now index arithmetic over the run ends, and every bit must stay."""
+
+    PINNED = {
+        "big_match": (
+            lambda: big_match().game, "finite_value",
+            "dc6a9a83ab9e43bb883a83ee9ae771a4251c057a49c35620bb20b19d8aca125c",
+            (0.5100460829493088, 0.01025921872989675),
+        ),
+        "random_8_6_6": (
+            lambda: random_game(8, 6, 6, seed=3).game, "finite_value",
+            "b1bf8d2f7b1ba14d93eb1c90d24102e52d10a08e6c4b02f7584f71d356f86fc8",
+            (0.0013045935042140635, 0.003207386868147899),
+        ),
+        "big_match_blocks": (
+            lambda: big_match().game, "adapted",
+            "dd9c644e6c069b8c634c620f569dffd3ebcf6637966adfcd9d743a6b4b13dee7",
+            (0.5076497695852534, 0.00998360096821211),
+        ),
+    }
+
+    @staticmethod
+    def profile(game, sigma_kind):
+        if sigma_kind == "finite_value":
+            sigma, rho = finite_value(game, 40).x_strategies, adapted_profile(game, 45).rho
+        else:
+            sigma, rho = adapted_profile(game, 40, 5).sigma, adapted_profile(game, 45, 7).rho
+        assert sigma.horizon > 31 and rho.horizon > 31
+        return sigma, rho
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_trajectory_bytes(self, case):
+        make_game, sigma_kind, digest, _ = self.PINNED[case]
+        game = make_game()
+        sigma, rho = self.profile(game, sigma_kind)
+        reference = np.arange(game.num_states) / game.num_states
+        h = hashlib.sha256()
+        for start in range(game.num_states):
+            traj = trajectory(game, sigma, rho, start, 31, limit_value=reference)
+            h.update(traj.stage_payoffs.tobytes())
+            h.update(traj.value_curve.tobytes())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_monte_carlo_estimate(self, case):
+        make_game, sigma_kind, _, expected = self.PINNED[case]
+        game = make_game()
+        assert monte_carlo_payoff(game, self.profile(game, sigma_kind), 0, 31, 700, 9) == expected
 
 
 class TestValueDrift:

@@ -138,12 +138,12 @@ class TestStrategies:
     def test_markov_segments_must_cover_horizon(self):
         stat = StationaryStrategy.uniform(1, 2)
         with pytest.raises(InputError):
-            MarkovStrategy(5, ((2, stat),))
+            MarkovStrategy([2, 3], stat.probs[None])
 
     def test_markov_bool_horizon_rejected(self):
         # bool is an int, and True would pass as a one-stage horizon
         with pytest.raises(InputError, match="horizon must be a positive integer"):
-            MarkovStrategy(True, ((1, StationaryStrategy.uniform(1, 2)),))
+            MarkovStrategy.from_stationary(StationaryStrategy.uniform(1, 2), True)
 
     def test_markov_run_length_compression(self):
         a = StationaryStrategy.pure(1, 2, 0)
@@ -156,7 +156,77 @@ class TestStrategies:
     def test_runs_truncate(self):
         stat = StationaryStrategy.uniform(2, 2)
         strat = MarkovStrategy.from_stationary(stat, 10)
-        assert list(strat.runs(4)) == [(4, stat)]
+        assert [(length, probs.tolist()) for length, probs in strat.runs(4)] == [(4, stat.probs.tolist())]
+
+    @pytest.mark.parametrize("lengths", [[True, True], np.array([True, True]), [2.0], [[2]], [], [2, 0]])
+    def test_markov_run_lengths_must_be_positive_integers(self, lengths):
+        # bool is an int, and [True, True] would pass as two one-stage runs
+        probs = np.stack([StationaryStrategy.uniform(1, 2).probs] * max(1, np.size(lengths)))
+        with pytest.raises(InputError, match="run lengths"):
+            MarkovStrategy(lengths, probs)
+
+    @pytest.mark.parametrize("lengths", [[np.int64(2), np.int32(3)], np.array([2, 3], dtype=np.uint8), (2, 3)])
+    def test_markov_numpy_integer_run_lengths(self, lengths):
+        a, b = StationaryStrategy.pure(1, 2, 0), StationaryStrategy.pure(1, 2, 1)
+        strat = MarkovStrategy(lengths, [a.probs, b.probs])
+        assert strat.horizon == 5
+        assert strat.lengths.tolist() == [2, 3] and not strat.lengths.flags.writeable
+        assert strat.at_stage(2) == a and strat.at_stage(3) == b
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        rows = [[bad, 1.0]] * 3
+        with pytest.raises(InputError, match="non-finite|sums to"):
+            StationaryStrategy(rows)
+        with pytest.raises(InputError, match="non-finite|sums to"):
+            MarkovStrategy([1, 2], [[[0.5, 0.5]] * 3, rows])
+        with pytest.raises(InputError, match="non-finite|sums to"):
+            MarkovStrategy.from_stages([np.array([[0.5, 0.5]] * 3), np.array(rows)])
+
+    def test_negative_zero_keeps_its_bytes(self):
+        # only negative entries are clipped, so -0.0 stays -0.0 beside a clipped weight
+        strat = StationaryStrategy([[-0.0, 1.0], [-1e-13, 1.0 + 1e-13]])
+        assert np.signbit(strat.probs[0, 0]) and strat.probs[1, 0] == 0.0 and not np.signbit(strat.probs[1, 0])
+        markov = MarkovStrategy([3], strat.probs[None])
+        assert markov.probs.tobytes() == strat.probs.tobytes()
+
+    def test_from_stages_merges_equal_neighbours(self):
+        a, b = StationaryStrategy.pure(2, 2, 0), StationaryStrategy.pure(2, 2, 1)
+        strat = MarkovStrategy.from_stages([a, a, b, a, a, a])
+        assert strat.lengths.tolist() == [2, 1, 3]
+        assert strat == MarkovStrategy([2, 1, 3], [a.probs, b.probs, a.probs])
+        # tables, StationaryStrategy objects and one stacked array build the same strategy
+        stack = np.stack([a.probs, a.probs, b.probs, a.probs, a.probs, a.probs])
+        assert MarkovStrategy.from_stages(list(stack)) == strat == MarkovStrategy.from_stages(stack)
+
+    def test_from_stages_single_table_is_one_run(self):
+        table = StationaryStrategy.uniform(3, 2).probs
+        for stages in ([table], [table] * 7):
+            strat = MarkovStrategy.from_stages(stages)
+            assert strat.lengths.tolist() == [len(stages)] and strat.probs.shape == (1, 3, 2)
+            assert strat == MarkovStrategy.from_stationary(StationaryStrategy(table), len(stages))
+
+    def test_negative_zero_equals_zero(self):
+        # the merge rule and __eq__ compare values, as np.array_equal does: each run keeps its first stage
+        neg = np.array([[-0.0, 1.0]])
+        strat = MarkovStrategy.from_stages([neg, np.array([[0.0, 1.0]])])
+        assert strat.lengths.tolist() == [2] and np.signbit(strat.probs[0, 0, 0])
+        assert strat == MarkovStrategy([2], [[[0.0, 1.0]]])
+        assert strat != MarkovStrategy([1, 1], [neg, neg])
+        assert strat != MarkovStrategy([2], [[[1.0, 0.0]]])
+
+    def test_from_stages_shapes_checked(self):
+        with pytest.raises(InputError):
+            MarkovStrategy.from_stages([])
+        with pytest.raises(InputError):
+            MarkovStrategy.from_stages([StationaryStrategy.uniform(2, 2), StationaryStrategy.uniform(3, 2)])
+        with pytest.raises(InputError):
+            MarkovStrategy([1], np.ones((1, 2)))
+
+    def test_segments_derived_from_the_stack(self):
+        a, b = StationaryStrategy.pure(2, 2, 0), StationaryStrategy.pure(2, 2, 1)
+        strat = MarkovStrategy.from_stages([a, b, b])
+        assert strat.segments == ((1, a), (2, b))
 
 
 def advance(game, dist, x, y):

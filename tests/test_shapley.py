@@ -368,7 +368,7 @@ class TestSameBytesAsPerStageKernelCalls:
         assert same_bytes(sol.values, values)
         for strategies, expected in ((sol.x_strategies, xs), (sol.y_strategies, ys)):
             # stage m plays the solution with n - m + 1 stages remaining
-            stages = [probs for length, stat in strategies.runs() for probs in [stat.probs] * length]
+            stages = [table for length, probs in strategies.runs() for table in [probs] * length]
             assert all(same_bytes(got, want) for got, want in zip(stages, expected[::-1]))
             assert len(stages) == horizon
 
