@@ -5,6 +5,13 @@ stay within ``1e-14 * max_abs_payoff`` of exact rationals on the 2x2 corpus game
 (measured at most 1.8e-15; ``TestExactReference`` in ``tests/test_shapley.py`` and
 ``tests/test_evaluation.py``); matrix powers that read a stationary profile's far stages carry
 error that can grow like ``eps / discount``, measured at most ``2.2e-12 * max_abs_payoff`` down to 1e-6.
+
+Where the increments of a backward recursion close to a span of ``shapley._AFFINE_TOL * max|g|``
+(random games, not the Big Match), the recursion stops and its later rows are affine.  On games
+whose transition rows sum to exactly 1 that tail stays within ``4 * eps * max|g|`` of a long-double
+loop at n = 12,000 (``TestLongDoubleReference``).  Rows within ``PROB_TOL`` of 1 are used as if
+exact, which the tail does and the stage-by-stage loop does not: for a row defect d the two part by
+up to about ``n * d * max|g|``, measured 3.6e-15 to 7.5e-14 of max|g| on random games at n = 5,000.
 """
 from __future__ import annotations
 
@@ -23,7 +30,7 @@ from .game import (
     profile_stage_payoffs,
     profile_transition_matrix,
 )
-from .shapley import finite_values
+from .shapley import _affine_fill, _closed_increment, finite_values
 
 
 def stages_to_weight(discount: float, fraction: float) -> int:
@@ -278,6 +285,9 @@ def _response_levels(
     fixed strategy is Player 2's and the max is over Player 1's actions.
     Stage m mixes the stage payoff with weight 1/(n - m + 1).  Returns the
     full (horizon + 1, states) table; row m-1 is the level from stage m.
+    Within each run of the fixed strategy the span rule of
+    :func:`~stochgame.shapley.finite_values` applies, checked at the run's
+    stages 1, 2, 4, ...: once it closes, the rest of the run is filled affinely.
     """
     rule, best = ("si,sij...->sj...", np.minimum) if adversary_minimizes else ("sj,sij...->si...", np.maximum)
     states, actions = game.num_states, game.payoff.shape[2 if adversary_minimizes else 1]
@@ -290,14 +300,22 @@ def _response_levels(
     for length, probs in reversed(list(strategy.runs(horizon))):
         np.einsum(rule, probs, game.payoff, out=own_payoff.T)
         np.einsum(rule, probs, game.transition, out=own_kernel)
-        for _ in range(length):
-            weight = 1.0 / (horizon - m + 1)
+        for j in range(1, length + 1):
+            remaining = horizon - m + 1
+            weight = 1.0 / remaining
             # weight * own_payoff + (1 - weight) * (own_kernel @ w), w = levels[m]
             np.matmul(own_kernel, levels[m], out=ahead.T)
             np.multiply(ahead, 1.0 - weight, out=ahead)
             np.add(np.multiply(own_payoff, weight, out=totals), ahead, out=totals)
             best.reduce(totals, axis=0, out=levels[m - 1])
             m -= 1
+            if j < length and not j & (j - 1):  # the run's operator is fixed: its span rule applies
+                mid = _closed_increment(levels[m], levels[m + 1], remaining, game.max_abs_payoff)
+                if mid is not None:  # the run's other rows, k + rest down to k + 1 stages
+                    rest = length - j
+                    _affine_fill(levels[m - rest : m], np.arange(rest, 0.0, -1), levels[m], remaining, mid)
+                    m -= rest
+                    break
     return levels
 
 
@@ -441,8 +459,7 @@ def monte_carlo_payoff(
     reproducibility contract, pinned by the tests: the same seed always
     yields the same estimate.
     """
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-        raise InputError("trials must be a positive integer")
+    trials = _check_horizon(trials, "trials")
     sigma, rho = _profile_strategies(game, profile, horizon)
     start = game.state_index(initial_state)
     rng = np.random.default_rng(seed)

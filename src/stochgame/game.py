@@ -9,6 +9,7 @@ every operation in this module is a pure function of its inputs.
 from __future__ import annotations
 
 import json
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -204,10 +205,15 @@ class StationaryStrategy:
         return cls(probs)
 
 
-def _check_horizon(horizon) -> int:
-    if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
-        raise InputError("horizon must be a positive integer")
-    return horizon
+def _check_horizon(horizon, what: str = "horizon") -> int:
+    """``horizon`` as an int if it is a positive integer of any type (``operator.index``) but bool."""
+    try:
+        count = -1 if isinstance(horizon, (bool, np.bool_)) else operator.index(horizon)
+    except TypeError:
+        count = -1
+    if count < 1:
+        raise InputError(f"{what} must be a positive integer")
+    return count
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,8 +222,8 @@ class MarkovStrategy:
 
     ``lengths[k]`` consecutive stages play the (states x actions) table ``probs[k]``, so
     ``probs`` is one (runs, states, actions) stack and ``horizon`` is ``lengths.sum()``.
-    Both are read-only arrays, checked once: the lengths must have an integer dtype (bool
-    is refused) and be positive.  Block-constant strategies keep one run per block, so long
+    Both are read-only arrays, checked once: the lengths must be positive integers (bool is
+    refused, also inside a list).  Block-constant strategies keep one run per block, so long
     horizons with few blocks stay cheap to store and iterate.
     """
 
@@ -226,7 +232,10 @@ class MarkovStrategy:
 
     def __post_init__(self):
         lengths = np.array(self.lengths)
-        if lengths.dtype.kind not in "iu" or lengths.ndim != 1 or not lengths.size or lengths.min() < 1:
+        # numpy reads a list that mixes bools and integers as integers: a list's elements are checked
+        listed_bool = not isinstance(self.lengths, np.ndarray) and lengths.ndim == 1 and any(
+            isinstance(k, (bool, np.bool_)) for k in self.lengths)
+        if lengths.dtype.kind not in "iu" or lengths.ndim != 1 or not lengths.size or lengths.min() < 1 or listed_bool:
             raise InputError("run lengths must be a non-empty sequence of positive integers")
         probs = np.array(self.probs, dtype=float)
         if probs.ndim != 3 or len(probs) != len(lengths) or probs.size == 0:

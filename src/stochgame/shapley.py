@@ -26,6 +26,9 @@ from .matrix import _solve_batch, _value_2x2
 _SWITCH_TOL = 1e-12
 #: a target tol * discount below this share of max|g| is refused: rounding can keep it out of reach
 _ROUNDING_FLOOR = 4 * np.finfo(float).eps
+#: a backward recursion stops once its increments' span is at most this share of max|g| (~450 eps,
+#: the rounding of r * v_r at the r = 16..64 where random games' spans close)
+_AFFINE_TOL = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,18 +209,46 @@ def discounted_value(
     )
 
 
+def _closed_increment(level: np.ndarray, previous: np.ndarray, remaining: int, scale: float):
+    """The midpoint (a + b) / 2 of the increment X_k - X_{k-1} in [a, b], X_k = k * level with
+    k = ``remaining`` and X_{k-1} from ``previous``, if b - a <= ``_AFFINE_TOL * scale``, else None.
+    The recursions are monotone and commute with adding a constant, so then every later increment
+    of the same operator lies in [a, b] too."""
+    delta = remaining * level - (remaining - 1) * previous
+    low, high = delta.min(), delta.max()
+    return (low + high) / 2 if high - low <= _AFFINE_TOL * scale else None  # NaN never closes
+
+
+def _affine_fill(rows: np.ndarray, steps: np.ndarray, level: np.ndarray, remaining: int, mid: float) -> None:
+    """Fill ``rows[i]`` in place with (X_k + j * mid) / (k + j), the level of k + j stages for
+    j = ``steps[i]``, X_k = k * level with k = ``remaining``: each row depends on its j alone, and
+    no temporary is as large as ``rows``."""
+    rows[:] = remaining * level
+    rows += (steps * mid)[:, None]
+    rows /= (steps + remaining)[:, None]
+
+
 def _backward_induction(game: StochasticGame, horizon: int):
-    """Yield v_r, its local games and both players' optimal local strategies, for r = 1..n stages
-    remaining; on 2x2 games, whose closed form takes no hint, a stage solves only its values and
-    yields None for the strategies."""
+    """Solve v_1..v_n into one (n, states) table, yielding it, the local games and both players'
+    optimal local strategies after each stage r solved (on 2x2 games, whose closed form takes no
+    hint, a stage solves only its values and yields None for the strategies).  The span rule runs at
+    r = 1, 2, 4, ...: once it closes, the rows after r are filled and r is the last stage yielded."""
+    values = np.empty((horizon, game.num_states))
     v, hint = np.zeros(game.num_states), None
     for r in range(1, horizon + 1):
         local = local_game_tensor(game, 1.0 / r, v)
         if local.shape[1:] == (2, 2):
-            v = _value_2x2(local)[0]
+            values[r - 1] = _value_2x2(local)[0]
         else:  # the previous stage's strategies hint this stage's supports
-            v, *hint = _solve_batch(local, hint)
-        yield v, local, hint
+            values[r - 1], *hint = _solve_batch(local, hint)
+        mid, v = None, values[r - 1]
+        if r < horizon and not r & (r - 1):
+            mid = _closed_increment(v, values[r - 2] if r > 1 else 0.0, r, game.max_abs_payoff)
+            if mid is not None:
+                _affine_fill(values[r:], np.arange(1.0, horizon - r + 1), v, r, mid)
+        yield values, local, hint
+        if mid is not None:
+            return
 
 
 def finite_values(game: StochasticGame, horizon: int) -> np.ndarray:
@@ -226,23 +257,32 @@ def finite_values(game: StochasticGame, horizon: int) -> np.ndarray:
     The values of :func:`finite_value` without the strategies, copied from the table a
     :func:`finite_value` at least n long left on the game if there is one (row r does
     not depend on n).  This call keeps no table: a certificate needs only v_n.
+
+    Stages are solved until the increments r * v_r - (r - 1) * v_{r-1}, checked at r = 1, 2, 4, ...,
+    span at most ``_AFFINE_TOL * max|g|``; the later rows are then v_k = (r * v_r + (k - r) * mid) / k,
+    mid the increments' midpoint (on random games r = 16..64).  Where the limit value depends on the
+    state (the Big Match, absorbing states) the span never closes and every stage is solved.
     """
-    if len(game._n_stage_table) >= _check_horizon(horizon):
+    horizon = _check_horizon(horizon)
+    if len(game._n_stage_table) >= horizon:
         return game._n_stage_table[:horizon].copy()
-    stages = (v for v, _, _ in _backward_induction(game, horizon))
-    return _finite(np.fromiter(stages, np.dtype((float, game.num_states)), count=horizon))
+    for values, _, _ in _backward_induction(game, horizon):
+        pass
+    return _finite(values)
 
 
 def finite_value(game: StochasticGame, horizon: int) -> FiniteHorizonSolution:
     """Values and optimal Markov strategies of the n-stage game.
 
     Stage m of the returned strategies plays the optimal mixed action of the
-    local game with r = n - m + 1 remaining stages (backward induction).  The longest
-    values table solved stays on the game, as a read-only copy, for :func:`finite_values`.
+    local game with r = n - m + 1 remaining stages (backward induction), for every r that
+    :func:`finite_values` solves; where its span rule stopped at r, stages 1..n - r + 1 play the
+    stage-r actions as one run.  The longest values table solved stays on the game, as a read-only
+    copy, for :func:`finite_values`.
     """
-    values, xs, ys, batch = [], [], [], []
-    for v, local, strategies in _backward_induction(game, _check_horizon(horizon)):
-        values.append(v)
+    horizon = _check_horizon(horizon)
+    xs, ys, batch = [], [], []
+    for solved, (values, local, strategies) in enumerate(_backward_induction(game, horizon), 1):
         if strategies is None:  # 2x2: the strategies of every stage come from one batch below
             batch.append(local)
         else:
@@ -253,11 +293,13 @@ def finite_value(game: StochasticGame, horizon: int) -> FiniteHorizonSolution:
     for k in range(0, len(batch), step):
         for out, probs in zip((xs, ys), _solve_batch(np.concatenate(batch[k : k + step]))[1:]):
             out.append(probs.reshape(-1, game.num_states, 2)[::-1])
-    values = _finite(np.array(values))
+    values = _finite(values)
     if len(game._n_stage_table) < horizon:  # as large as the values returned with it
         object.__setattr__(game, "_n_stage_table", _freeze(values.copy()))
     # pieces in reverse: stage m plays the solution with n - m + 1 stages remaining
     x, y = (MarkovStrategy.from_stages(np.concatenate(pieces[::-1])) for pieces in (xs, ys))
+    if solved < horizon:  # the first run also covers the stages before the last one solved
+        x, y = (MarkovStrategy(np.r_[s.lengths[0] + horizon - solved, s.lengths[1:]], s.probs) for s in (x, y))
     return FiniteHorizonSolution(horizon, values, x, y)
 
 

@@ -2,9 +2,11 @@
 
 Everything here deliberately avoids the library's production code paths:
 matrix games are solved by square-support enumeration, values by plain
-python recursions, expectations by literal path enumeration or by stage
-loops and matrix powers in long double, scalar fixed points by bisection,
-and the weight-horizon by an exact rational scan.
+python recursions or by backward loops in long double, expectations by
+literal path enumeration or by stage loops and matrix powers in long double,
+scalar fixed points by bisection, and the weight-horizon by an exact rational
+scan.  The backward loop written as one public kernel call per stage, with no
+span rule, pins the library's bytes on the stages it still solves.
 """
 from __future__ import annotations
 
@@ -423,3 +425,107 @@ def exact_guarantee_levels(game, sigma, horizon):
 def exact_error(got, exact) -> Fraction:
     """Largest |got - exact| over a float table and a table of Fractions, exactly."""
     return max(abs(Fraction(float(g)) - e) for grow, erow in zip(got, exact) for g, e in zip(grow, erow))
+
+
+# ---------------------------------------------------------------------------
+# The backward loop without the span rule
+# ---------------------------------------------------------------------------
+
+
+def reference_backward_induction(game, horizon):
+    """The backward loop as one public ``solve_batch`` call per stage, hinted by the
+    previous stage's strategies, every stage solved: v_1..v_n, and the strategies with
+    r = 1..n stages remaining."""
+    from stochgame import local_game_tensor, solve_batch
+
+    v, hint, values, xs, ys = np.zeros(game.num_states), None, [], [], []
+    for r in range(1, horizon + 1):
+        v, x, y = solve_batch(local_game_tensor(game, 1.0 / r, v), hint)
+        hint = x, y
+        values.append(v)
+        xs.append(x)
+        ys.append(y)
+    return np.array(values), xs, ys
+
+
+def span_rule_stop(by_stages, run_lengths, tol):
+    """Where the span rule stops on a loop's levels: ``by_stages[k]`` is the level of k stages
+    (row 0 the zero terminal), solved in runs of a fixed operator with ``run_lengths``, in the
+    order the loop solves them.  At the stages j = 1, 2, 4, ... of a run that are not its last,
+    the increment k * x_k - (k - 1) * x_{k-1} is checked; returns the first k whose increment
+    spans at most ``tol``, or the last k if none does."""
+    k = 0
+    for length in run_lengths:
+        for j in range(1, length + 1):
+            k += 1
+            if j < length and not j & (j - 1) and np.ptp(k * by_stages[k] - (k - 1) * by_stages[k - 1]) <= tol:
+                return k
+    return k
+
+# ---------------------------------------------------------------------------
+# Backward loops in long double, and games whose rows sum to exactly 1
+# ---------------------------------------------------------------------------
+
+
+def dyadic_variant(game, bits=10):
+    """``game`` with every transition row rounded down to multiples of 2**-bits, the remainder
+    added to the row's largest entry: each row then sums to exactly 1 in double arithmetic."""
+    from stochgame import StochasticGame
+
+    q = np.floor(game.transition * 2**bits) / 2**bits
+    top = q.argmax(axis=-1)[..., None]
+    np.put_along_axis(q, top, np.take_along_axis(q, top, -1) + (1.0 - q.sum(axis=-1))[..., None], -1)
+    assert (q.sum(axis=-1) == 1.0).all()
+    return StochasticGame(game.states, game.actions1, game.actions2, game.payoff, q, game.name)
+
+
+def with_absorbing_states(game):
+    """``game`` with states 0 and 1 made absorbing at constant stage payoffs +1 and -1: the other
+    states reach them with different probabilities, so the limit value differs by state."""
+    from stochgame import StochasticGame
+
+    payoff, transition = game.payoff.copy(), game.transition.copy()
+    for s, amount in ((0, 1.0), (1, -1.0)):
+        payoff[s], transition[s] = amount, np.eye(game.num_states)[s]
+    return StochasticGame(game.states, game.actions1, game.actions2, payoff, transition, game.name)
+
+
+def _long_double_value_2x2(L):
+    """Shapley & Snow values of a (batch, 2, 2) stack: the saddle value where there is one, else
+    a - (a - b)(a - c) / (a - b + d - c), which equals (ad - bc) / (a + d - b - c) and does not
+    cancel when the entries nearly coincide."""
+    a, b, c, d = L[:, 0, 0], L[:, 0, 1], L[:, 1, 0], L[:, 1, 1]
+    low = np.maximum(np.minimum(a, b), np.minimum(c, d))
+    mixed = low != np.minimum(np.maximum(a, c), np.maximum(b, d))
+    denom = np.where(mixed, (a - b) + (d - c), 1)
+    return np.where(mixed, a - (a - b) * (a - c) / denom, low)
+
+
+def long_double_finite_values(game, horizon):
+    """v_1..v_n of a 2x2 game by the backward loop in long double, every stage solved."""
+    assert game.payoff.shape[1:] == (2, 2)
+    L = np.longdouble
+    payoff, transition = game.payoff.astype(L), game.transition.astype(L)
+    out = np.zeros((horizon + 1, game.num_states), dtype=L)
+    for r in range(1, horizon + 1):
+        weight = L(1) / r
+        out[r] = _long_double_value_2x2(weight * payoff + (1 - weight) * (transition @ out[r - 1]))
+    return out[1:]
+
+
+def long_double_response_levels(game, strategy, horizon, player):
+    """Best-response levels against Player ``player``'s Markov ``strategy`` by the backward loop in
+    long double: row m - 1 is the adversary's best average over stages m..n (the min for a Player 1
+    strategy, the max for a Player 2 one), row n the zero terminal."""
+    L = np.longdouble
+    rule, best = ("si,sij...->sj...", np.min) if player == 1 else ("sj,sij...->si...", np.max)
+    levels = np.zeros((horizon + 1, game.num_states), dtype=L)
+    m = horizon
+    for length, probs in reversed(list(strategy.runs(horizon))):
+        own_payoff = np.einsum(rule, probs.astype(L), game.payoff.astype(L))
+        own_kernel = np.einsum(rule, probs.astype(L), game.transition.astype(L))
+        for _ in range(length):
+            weight = L(1) / (horizon - m + 1)
+            levels[m - 1] = best(weight * own_payoff + (1 - weight) * (own_kernel @ levels[m]), axis=1)
+            m -= 1
+    return levels

@@ -142,8 +142,13 @@ class TestStrategies:
 
     def test_markov_bool_horizon_rejected(self):
         # bool is an int, and True would pass as a one-stage horizon
-        with pytest.raises(InputError, match="horizon must be a positive integer"):
-            MarkovStrategy.from_stationary(StationaryStrategy.uniform(1, 2), True)
+        for horizon in (True, np.True_):
+            with pytest.raises(InputError, match="horizon must be a positive integer"):
+                MarkovStrategy.from_stationary(StationaryStrategy.uniform(1, 2), horizon)
+
+    def test_markov_numpy_integer_horizon(self):
+        strat = MarkovStrategy.from_stationary(StationaryStrategy.uniform(1, 2), np.int64(4))
+        assert strat.horizon == 4 and strat.lengths.tolist() == [4]
 
     def test_markov_run_length_compression(self):
         a = StationaryStrategy.pure(1, 2, 0)
@@ -158,7 +163,9 @@ class TestStrategies:
         strat = MarkovStrategy.from_stationary(stat, 10)
         assert [(length, probs.tolist()) for length, probs in strat.runs(4)] == [(4, stat.probs.tolist())]
 
-    @pytest.mark.parametrize("lengths", [[True, True], np.array([True, True]), [2.0], [[2]], [], [2, 0]])
+    @pytest.mark.parametrize(
+        "lengths", [[True, True], np.array([True, True]), [2.0], [[2]], [], [2, 0], [True, 2], [2, np.True_]]
+    )
     def test_markov_run_lengths_must_be_positive_integers(self, lengths):
         # bool is an int, and [True, True] would pass as two one-stage runs
         probs = np.stack([StationaryStrategy.uniform(1, 2).probs] * max(1, np.size(lengths)))

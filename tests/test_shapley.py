@@ -6,6 +6,7 @@ import pytest
 from stochgame import (
     ConvergenceError,
     InputError,
+    MarkovStrategy,
     StochasticGame,
     certify_epsilon_optimality,
     discounted_value,
@@ -15,7 +16,6 @@ from stochgame import (
     limit_value_estimate,
     local_game_tensor,
     shapley_operator,
-    solve_batch,
     solve_matrix_game,
 )
 from stochgame import shapley
@@ -29,7 +29,10 @@ from oracles import (
     mdp_discounted_value_iteration,
     mdp_finite_values,
     mdp_policy_enumeration_discounted,
+    reference_backward_induction,
+    span_rule_stop,
     support_enumeration_solve,
+    with_absorbing_states,
 )
 
 
@@ -327,21 +330,25 @@ class TestHorizonChecks:
 
     @pytest.mark.parametrize("solve", [finite_values, finite_value])
     def test_bool_horizon_rejected(self, solve):
+        for horizon in (True, np.True_):
+            with pytest.raises(InputError, match="horizon must be a positive integer"):
+                solve(big_match().game, horizon)
+
+    @pytest.mark.parametrize("horizon", [np.int64(5), np.int32(5), np.uint16(5)])
+    def test_numpy_integer_horizon_is_its_int(self, horizon):
+        values = finite_values(big_match().game, 5)
+        assert same_bytes(finite_values(big_match().game, horizon), values)
+        sol = finite_value(big_match().game, horizon)
+        assert type(sol.horizon) is int and sol.horizon == 5 and same_bytes(sol.values, values)
+
+    @pytest.mark.parametrize("horizon", [5.0, np.float64(5), "5", None, 0, np.int64(-1)])
+    def test_non_integer_or_non_positive_horizon_rejected(self, horizon):
         with pytest.raises(InputError, match="horizon must be a positive integer"):
-            solve(big_match().game, True)
+            finite_values(big_match().game, horizon)
 
 
-def reference_backward_induction(game, horizon):
-    """The backward loop as one public ``solve_batch`` call per stage, hinted by the
-    previous stage's strategies: v_1..v_n, and the strategies with r = 1..n stages remaining."""
-    v, hint, values, xs, ys = np.zeros(game.num_states), None, [], [], []
-    for r in range(1, horizon + 1):
-        v, x, y = solve_batch(local_game_tensor(game, 1.0 / r, v), hint)
-        hint = x, y
-        values.append(v)
-        xs.append(x)
-        ys.append(y)
-    return np.array(values), xs, ys
+def closing_tol(game):
+    return shapley._AFFINE_TOL * game.max_abs_payoff
 
 
 def same_bytes(got, expected):
@@ -359,26 +366,78 @@ PINNED_GAMES = {name: ctor().game for name, ctor in CORPUS.items()} | {
 
 class TestSameBytesAsPerStageKernelCalls:
     """On 2x2 games a stage computes only its values, and finite_value solves every stage's
-    strategies in one batch; the results stay those of one kernel call per stage."""
+    strategies in one batch; the results stay those of one kernel call per stage on every
+    stage solved.  Where the span rule stops at r, the later rows are affine, within
+    ``_AFFINE_TOL * max|g|`` of the loop, and the earlier stages play the stage-r tables."""
 
     def check(self, game, horizon):
         values, xs, ys = reference_backward_induction(game, horizon)
-        assert same_bytes(finite_values(game, horizon), values)
+        stop = span_rule_stop(np.vstack([np.zeros(game.num_states), values]), [horizon], closing_tol(game))
+        table = finite_values(game, horizon)  # before finite_value leaves its table on the game
         sol = finite_value(game, horizon)
-        assert same_bytes(sol.values, values)
+        for got in (table, sol.values):
+            assert same_bytes(got[:stop], values[:stop])
+            assert got.shape == values.shape and np.abs(got - values).max() <= closing_tol(game)
         for strategies, expected in ((sol.x_strategies, xs), (sol.y_strategies, ys)):
-            # stage m plays the solution with n - m + 1 stages remaining
+            # stage m plays the solution with n - m + 1 stages remaining, or with stop if more remain
             stages = [table for length, probs in strategies.runs() for table in [probs] * length]
-            assert all(same_bytes(got, want) for got, want in zip(stages, expected[::-1]))
             assert len(stages) == horizon
+            assert all(same_bytes(got, expected[min(horizon - m, stop - 1)]) for m, got in enumerate(stages, 1))
+        return stop
 
     @pytest.mark.parametrize("name", sorted(PINNED_GAMES))
     def test_values_and_every_stage_strategy(self, name):
-        self.check(PINNED_GAMES[name], 60)
+        stop = self.check(PINNED_GAMES[name], 60)
+        assert (stop == 60) == (name in ("big_match", "two_state_cycle"))
 
     def test_batch_chunks(self):
-        # 2**15 // 40 = 819 stages per kernel call: three chunks, the last one short
-        self.check(random_game(40, 2, 2, seed=22).game, 1_700)
+        # 2**15 // 40 = 819 stages per kernel call: three chunks, the last one short; the
+        # absorbing states keep the span open, so every stage is solved
+        assert self.check(with_absorbing_states(random_game(40, 2, 2, seed=22).game), 1_700) == 1_700
+
+
+#: games whose limit value depends on the state, so the increments' span never closes
+OPEN_SPAN_GAMES = {
+    "big_match": lambda: big_match().game,
+    "two_state_cycle": lambda: two_state_cycle().game,
+    "absorbing_6x3x3": lambda: with_absorbing_states(random_game(6, 3, 3, seed=4).game),
+}
+
+
+class TestAffineTail:
+    """Backward induction stops once the increments' span closes, and only there."""
+
+    @pytest.fixture
+    def stages_solved(self, monkeypatch):
+        """The number of backward stages solved, one local-game tensor each."""
+        calls = []
+        real = shapley.local_game_tensor
+        monkeypatch.setattr(shapley, "local_game_tensor", lambda *args: calls.append(args[1]) or real(*args))
+        return calls
+
+    def test_closing_game_solves_few_stages(self, stages_solved):
+        finite_values(random_game(40, 2, 2, seed=1).game, 5_000)
+        assert 0 < len(stages_solved) <= 64
+
+    @pytest.mark.parametrize("horizon", [1, 16, 31, 32, 33, 100, 4_999])
+    def test_prefix_is_byte_identical_on_both_sides_of_the_stop(self, horizon):
+        # random_game(40, 2, 2, seed=1) stops at r = 32: no row depends on n
+        game = random_game(40, 2, 2, seed=1).game
+        full = finite_values(game, 5_000)
+        assert same_bytes(finite_values(twin_of(game), horizon), full[:horizon])
+        assert same_bytes(finite_value(twin_of(game), horizon).values, full[:horizon])
+
+    @pytest.mark.parametrize("name", sorted(OPEN_SPAN_GAMES))
+    def test_open_span_solves_every_stage_with_the_loop_bytes(self, name, stages_solved):
+        game, horizon = OPEN_SPAN_GAMES[name](), 5_000
+        values, xs, ys = reference_backward_induction(game, horizon)
+        assert same_bytes(finite_values(game, horizon), values)
+        assert len(stages_solved) == horizon
+        sol = finite_value(twin_of(game), horizon)
+        assert same_bytes(sol.values, values)
+        for strategies, expected in ((sol.x_strategies, xs), (sol.y_strategies, ys)):
+            reference = MarkovStrategy.from_stages(expected[::-1])
+            assert same_bytes(strategies.lengths, reference.lengths) and same_bytes(strategies.probs, reference.probs)
 
 
 class TestExactReference:
