@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InputError, ScheduleNotReadyError
 from .evaluation import _at_stage, _state_vector, stages_to_weight
-from .game import MarkovStrategy, StationaryStrategy, StochasticGame, profile_transition_matrix
+from .game import MarkovStrategy, StationaryStrategy, StochasticGame, _check_horizon, profile_transition_matrix
 from .shapley import DiscountedSolution, discounted_value
 
 #: default fractions for drift measurement; capped at 7/8 because one block
@@ -58,8 +58,7 @@ class BlockSchedule:
 
 def block_schedule(horizon: int, block_length: int) -> BlockSchedule:
     """Build the schedule for ``horizon`` stages and blocks of ``block_length``."""
-    if not isinstance(horizon, int) or not isinstance(block_length, int):
-        raise InputError("horizon and block length must be integers")
+    horizon, block_length = _check_horizon(horizon), _check_horizon(block_length, "block length")
     if not 2 <= block_length <= horizon:
         raise InputError(
             f"block length must satisfy 2 <= a <= horizon, got a={block_length}, horizon={horizon}"
@@ -72,8 +71,7 @@ def block_schedule(horizon: int, block_length: int) -> BlockSchedule:
 
 def default_block_length(horizon: int) -> int:
     """Square-root block length, the default when no thresholds are supplied."""
-    if horizon < 2:
-        raise InputError("horizon must be at least 2")
+    horizon = _check_horizon(horizon, least=2)
     return min(horizon, max(2, math.isqrt(horizon - 1) + 1))
 
 
@@ -164,7 +162,7 @@ def adapted_profile(
         xs.append(sol.x.probs)
         ys.append(sol.y.probs)
     sigma, rho = MarkovStrategy(lengths, xs), MarkovStrategy(lengths, ys)
-    return AdaptedProfile(horizon, schedule, sigma, rho, provider.ident, provider.tol)
+    return AdaptedProfile(schedule.horizon, schedule, sigma, rho, provider.ident, provider.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +213,7 @@ def select_block_length(horizon: int, thresholds: DiscountThresholds) -> int:
     Raises :class:`ScheduleNotReadyError` when no a in [2, n] qualifies;
     callers should then fall back to :func:`default_block_length`.
     """
-    if not isinstance(horizon, int) or horizon < 2:
-        raise InputError("horizon must be an integer >= 2")
+    horizon = _check_horizon(horizon, least=2)
     max_blocks = horizon // 2
     if len(thresholds) < max_blocks:
         raise InputError(
@@ -237,8 +234,7 @@ def block_weight_mass(block_length: int) -> float:
     Equals 1 - (1 - 1/a)^(a+1); increasing in the discount, hence at most
     7/8 for every block length a >= 2.
     """
-    if not isinstance(block_length, int) or block_length < 2:
-        raise InputError("block length must be an integer >= 2")
+    block_length = _check_horizon(block_length, "block length", least=2)
     return 1.0 - (1.0 - 1.0 / block_length) ** (block_length + 1)
 
 

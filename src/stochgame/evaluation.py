@@ -30,7 +30,7 @@ from .game import (
     profile_stage_payoffs,
     profile_transition_matrix,
 )
-from .shapley import _affine_fill, _closed_increment, finite_values
+from .shapley import _affine_fill, _closed_increment, _value_rows
 
 
 def stages_to_weight(discount: float, fraction: float) -> int:
@@ -319,25 +319,16 @@ def _response_levels(
     return levels
 
 
-def _n_stage_value(game: StochasticGame, horizon: int) -> np.ndarray:
-    """``finite_values(game, horizon)[-1]``, kept read-only on the (immutable) game per horizon,
-    so it lives and dies with the game; not the table, since a certificate needs only v_n."""
-    if horizon not in game._n_stage_values:
-        v_n = game._n_stage_values[horizon] = finite_values(game, horizon)[-1].copy()
-        v_n.setflags(write=False)
-    return game._n_stage_values[horizon]
-
-
 def guaranteed_value(game: StochasticGame, sigma, horizon: int) -> GuaranteeCertificate:
     """Exact worst-case (best-response) value of a fixed Player 1 strategy.
 
     Against a fixed Markov strategy the adversary faces a finite-horizon
     Markov decision problem, so the backward min recursion attains the
-    minimum over all strategies.  v_n is solved once per game and horizon.
+    minimum over all strategies.  v_n is read from the game's n-stage cache.
     """
     sigma = _as_markov(game, sigma, horizon, 1)
     levels = _response_levels(game, sigma, horizon, adversary_minimizes=True)
-    epsilon = float((_n_stage_value(game, horizon) - levels[0]).max())
+    epsilon = float((_value_rows(game, horizon, horizon)[0] - levels[0]).max())
     return GuaranteeCertificate(horizon, levels, epsilon)
 
 
@@ -346,13 +337,13 @@ def certify_epsilon_optimality(game: StochasticGame, profile, horizon: int) -> f
 
     Both players' strategies are measured against exact best responses; the
     result is max over states of the larger one-sided gap to the n-stage
-    value v_n, solved once per game and horizon.  Values within solver noise
-    of zero certify optimality.
+    value v_n, read from the game's n-stage cache as in :func:`guaranteed_value`.
+    Values within solver noise of zero certify optimality.
     """
     sigma, rho = _profile_strategies(game, profile, horizon)
     low = _response_levels(game, sigma, horizon, adversary_minimizes=True)[0]
     high = _response_levels(game, rho, horizon, adversary_minimizes=False)[0]
-    v_n = _n_stage_value(game, horizon)
+    v_n = _value_rows(game, horizon, horizon)[0]
     return float(max((v_n - low).max(), (high - v_n).max()))
 
 

@@ -54,10 +54,9 @@ class StochasticGame:
     transition: np.ndarray
     name: str | None = None
     max_abs_payoff: float = field(init=False)
-    #: n-stage values by horizon, kept by ``evaluation._n_stage_value``
-    _n_stage_values: dict = field(init=False, default_factory=dict, repr=False, compare=False)
-    #: read-only v_1..v_n of the longest ``shapley.finite_value`` solve, read by ``finite_values``
-    _n_stage_table: np.ndarray = field(init=False, default_factory=lambda: np.empty((0, 0)), repr=False, compare=False)
+    #: (rows, mid): read-only v_1..v_r as ``shapley._backward_induction`` solved them (its only writer), and
+    #: the increments' midpoint if their span closed at r, else None; read only by ``shapley._value_rows``
+    _n_stage_cache: tuple = field(init=False, default=(_freeze(np.empty((0, 0))), None), repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "states", _labels(self.states, "states"))
@@ -123,6 +122,8 @@ class StochasticGame:
         return len(self.actions2)
 
     def state_index(self, state: str | int) -> int:
+        if isinstance(state, (bool, np.bool_)):
+            raise InputError(f"state must be a label or an integer index, got {state!r}")
         if isinstance(state, (int, np.integer)):
             if not 0 <= int(state) < self.num_states:
                 raise InputError(f"state index {state} out of range")
@@ -205,14 +206,14 @@ class StationaryStrategy:
         return cls(probs)
 
 
-def _check_horizon(horizon, what: str = "horizon") -> int:
-    """``horizon`` as an int if it is a positive integer of any type (``operator.index``) but bool."""
+def _check_horizon(horizon, what: str = "horizon", least: int = 1) -> int:
+    """``horizon`` as an int if it is an integer of any type (``operator.index``) but bool, and >= ``least``."""
     try:
         count = -1 if isinstance(horizon, (bool, np.bool_)) else operator.index(horizon)
     except TypeError:
         count = -1
-    if count < 1:
-        raise InputError(f"{what} must be a positive integer")
+    if count < least:
+        raise InputError(f"{what} must be " + ("a positive integer" if least == 1 else f"an integer >= {least}"))
     return count
 
 

@@ -158,7 +158,8 @@ def discounted_value(
     target = tol * discount
     if target < _ROUNDING_FLOOR * game.max_abs_payoff:
         raise ConvergenceError(f"tol*discount {target:.3e} is below the rounding floor 4*eps*max|g|", math.inf, 0)
-    cap = default_iteration_cap(game, discount, tol) if max_iterations is None else max_iterations
+    cap = (default_iteration_cap(game, discount, tol) if max_iterations is None
+           else _check_horizon(max_iterations, "max_iterations"))
     tie = _SWITCH_TOL * game.max_abs_payoff
     states = np.arange(ns)
     eye = np.eye(ns)
@@ -229,46 +230,57 @@ def _affine_fill(rows: np.ndarray, steps: np.ndarray, level: np.ndarray, remaini
 
 
 def _backward_induction(game: StochasticGame, horizon: int):
-    """Solve v_1..v_n into one (n, states) table, yielding it, the local games and both players'
-    optimal local strategies after each stage r solved (on 2x2 games, whose closed form takes no
-    hint, a stage solves only its values and yields None for the strategies).  The span rule runs at
-    r = 1, 2, 4, ...: once it closes, the rows after r are filled and r is the last stage yielded."""
-    values = np.empty((horizon, game.num_states))
-    v, hint = np.zeros(game.num_states), None
+    """Solve v_1..v_n, yielding the local games and both players' optimal local strategies after each
+    stage r solved (on 2x2 games, whose closed form takes no hint, only the values: None).  The span rule
+    runs at r = 1, 2, 4, ... short of n; once it closes, r is the last stage.  At the end the rows
+    solved become the game's n-stage cache if they are longer than the kept rows or their span closed."""
+    values, v, hint, mid = [], np.zeros(game.num_states), None, None
     for r in range(1, horizon + 1):
         local = local_game_tensor(game, 1.0 / r, v)
         if local.shape[1:] == (2, 2):
-            values[r - 1] = _value_2x2(local)[0]
+            v = _value_2x2(local)[0]
         else:  # the previous stage's strategies hint this stage's supports
-            values[r - 1], *hint = _solve_batch(local, hint)
-        mid, v = None, values[r - 1]
+            v, *hint = _solve_batch(local, hint)
         if r < horizon and not r & (r - 1):
-            mid = _closed_increment(v, values[r - 2] if r > 1 else 0.0, r, game.max_abs_payoff)
-            if mid is not None:
-                _affine_fill(values[r:], np.arange(1.0, horizon - r + 1), v, r, mid)
-        yield values, local, hint
+            mid = _closed_increment(v, values[-1] if values else 0.0, r, game.max_abs_payoff)
+        values.append(v)
+        yield local, hint
         if mid is not None:
-            return
+            break
+    if mid is not None or r > len(game._n_stage_cache[0]):  # a closed span serves every horizon
+        object.__setattr__(game, "_n_stage_cache", (_freeze(np.array(values)), mid))
+
+
+def _value_rows(game: StochasticGame, horizon: int, first: int = 1) -> np.ndarray:
+    """Rows ``first``..n of v_1..v_n, fresh, from the game's n-stage cache (solved first if it neither closed
+    nor covers n); rows k past a close at r are (r * v_r + (k - r) * mid) / k elementwise, as a fresh solve."""
+    rows, mid = game._n_stage_cache
+    if mid is None and len(rows) < horizon:
+        for _ in _backward_induction(game, horizon):
+            pass
+        rows, mid = game._n_stage_cache
+    head = rows[first - 1 : horizon]
+    out = np.empty((horizon - first + 1, game.num_states))
+    out[: len(head)] = head
+    if len(head) < len(out):  # the span closed at r = len(rows) < n: fill rows first + len(head)..n
+        r = len(rows)
+        _affine_fill(out[len(head) :], np.arange(first + len(head) - r, horizon - r + 1.0), rows[-1], r, mid)
+    return _finite(out)
 
 
 def finite_values(game: StochasticGame, horizon: int) -> np.ndarray:
     """Values v_1..v_n of the 1..n stage games, shape (n, states).
 
-    The values of :func:`finite_value` without the strategies, copied from the table a
-    :func:`finite_value` at least n long left on the game if there is one (row r does
-    not depend on n).  This call keeps no table: a certificate needs only v_n.
+    The values of :func:`finite_value` without the strategies.  Every backward induction keeps the
+    rows it solved on the game, and this call, :func:`finite_value`'s values and both certificates
+    read them: a closed span serves every horizon; an open one keeps the longest table solved.
 
     Stages are solved until the increments r * v_r - (r - 1) * v_{r-1}, checked at r = 1, 2, 4, ...,
     span at most ``_AFFINE_TOL * max|g|``; the later rows are then v_k = (r * v_r + (k - r) * mid) / k,
     mid the increments' midpoint (on random games r = 16..64).  Where the limit value depends on the
     state (the Big Match, absorbing states) the span never closes and every stage is solved.
     """
-    horizon = _check_horizon(horizon)
-    if len(game._n_stage_table) >= horizon:
-        return game._n_stage_table[:horizon].copy()
-    for values, _, _ in _backward_induction(game, horizon):
-        pass
-    return _finite(values)
+    return _value_rows(game, _check_horizon(horizon))
 
 
 def finite_value(game: StochasticGame, horizon: int) -> FiniteHorizonSolution:
@@ -277,25 +289,23 @@ def finite_value(game: StochasticGame, horizon: int) -> FiniteHorizonSolution:
     Stage m of the returned strategies plays the optimal mixed action of the
     local game with r = n - m + 1 remaining stages (backward induction), for every r that
     :func:`finite_values` solves; where its span rule stopped at r, stages 1..n - r + 1 play the
-    stage-r actions as one run.  The longest values table solved stays on the game, as a read-only
-    copy, for :func:`finite_values`.
+    stage-r actions as one run.  The strategies need one induction per call; the values are those
+    of :func:`finite_values`, read from the rows that induction keeps on the game.
     """
     horizon = _check_horizon(horizon)
     xs, ys, batch = [], [], []
-    for solved, (values, local, strategies) in enumerate(_backward_induction(game, horizon), 1):
+    for solved, (local, strategies) in enumerate(_backward_induction(game, horizon), 1):
         if strategies is None:  # 2x2: the strategies of every stage come from one batch below
             batch.append(local)
         else:
             for out, probs in zip((xs, ys), strategies):
                 out.append(probs[None])
+    values = _value_rows(game, horizon)
     # the closed form works elementwise: the bytes of per-stage calls, in chunks of 32k local games
     step = max(1, 2**15 // game.num_states)
     for k in range(0, len(batch), step):
         for out, probs in zip((xs, ys), _solve_batch(np.concatenate(batch[k : k + step]))[1:]):
             out.append(probs.reshape(-1, game.num_states, 2)[::-1])
-    values = _finite(values)
-    if len(game._n_stage_table) < horizon:  # as large as the values returned with it
-        object.__setattr__(game, "_n_stage_table", _freeze(values.copy()))
     # pieces in reverse: stage m plays the solution with n - m + 1 stages remaining
     x, y = (MarkovStrategy.from_stages(np.concatenate(pieces[::-1])) for pieces in (xs, ys))
     if solved < horizon:  # the first run also covers the stages before the last one solved

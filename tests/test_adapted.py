@@ -225,6 +225,32 @@ class TestSelectBlockLength:
             select_block_length(100, short)
 
 
+class TestIntegerArguments:
+    """Horizons and block lengths follow the horizon rule of the other layers: any integer type
+    but bool, refused otherwise with InputError."""
+
+    @pytest.mark.parametrize("count", [np.int64(100), np.int32(100), np.uint16(100)])
+    def test_numpy_integers_are_their_int(self, count):
+        assert block_schedule(count, np.int64(10)) == block_schedule(100, 10)
+        assert default_block_length(count) == default_block_length(100) == 10
+        thresholds = DiscountThresholds.analytic_default(50)
+        assert select_block_length(count, thresholds) == select_block_length(100, thresholds)
+        assert block_weight_mass(np.int64(10)) == block_weight_mass(10)
+        game = big_match().game
+        profile = adapted_profile(game, count)
+        assert type(profile.horizon) is int and profile.horizon == 100
+        assert profile.sigma == adapted_profile(game, 100).sigma
+
+    @pytest.mark.parametrize("bad", [100.0, np.float64(100), True, np.True_, "100", None])
+    def test_non_integers_rejected(self, bad):
+        thresholds = DiscountThresholds.analytic_default(50)
+        for call in (lambda: block_schedule(bad, 10), lambda: block_schedule(100, bad),
+                     lambda: default_block_length(bad), lambda: select_block_length(bad, thresholds),
+                     lambda: block_weight_mass(bad), lambda: adapted_profile(big_match().game, bad)):
+            with pytest.raises(InputError, match="must be a positive integer|must be an integer >= 2"):
+                call()
+
+
 class TestBlockWeightMass:
     def test_bound_seven_eighths_over_full_range(self):
         masses = [block_weight_mass(a) for a in range(2, 10_001)]

@@ -161,6 +161,16 @@ class TestAdaptedCommand:
         eps = [float(r.split(",")[3]) for r in rows]
         assert eps[0] >= eps[1] >= eps[2]
 
+    def test_n_grid_runs_one_induction(self, tmp_path, games_dir, monkeypatch):
+        import stochgame.shapley as shapley
+
+        solves = []
+        real = shapley._backward_induction
+        monkeypatch.setattr(shapley, "_backward_induction", lambda g, n: solves.append(n) or real(g, n))
+        argv = ["adapted", "--game", str(games_dir / "random_2_2_2_seed7.json"), "--n-grid", "50,200,5000"]
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+        assert solves == [50]  # the span closes at r = 16: its rows serve 200 and 5,000 too
+
     def test_block_length_one_exits_2(self, tmp_path, capsys):
         code = main(
             ["adapted", "--corpus", "big_match", "--n", "20", "--a", "1", "--out", str(tmp_path / "o")]

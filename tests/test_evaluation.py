@@ -590,7 +590,7 @@ class TestExactReference:
 
 
 class TestBoolArguments:
-    """``bool`` is an ``int``, but ``True`` is neither a horizon nor a trial count."""
+    """``bool`` is an ``int``, but ``True`` is neither a horizon, a trial count nor a state."""
 
     @pytest.fixture
     def setup(self):
@@ -623,6 +623,18 @@ class TestBoolArguments:
             guaranteed_value(game, profile[0], np.True_)
         with pytest.raises(InputError, match="trials must be a positive integer"):
             monte_carlo_payoff(game, profile, 0, 5, trials=np.True_, seed=0)
+
+    @pytest.mark.parametrize("state", [True, np.True_, False])
+    def test_initial_state(self, setup, state):
+        # as an index, True would start every path from state 1
+        game, (x, y) = setup
+        grid, vstar = (0.5,), np.zeros(game.num_states)
+        for call in (lambda: trajectory(game, x, y, state, 5),
+                     lambda: constant_payoff_curve(game, (x, y), state, 5, grid, vstar),
+                     lambda: value_drift_diagnostic(game, (x, y), state, 5, grid, vstar),
+                     lambda: monte_carlo_payoff(game, (x, y), state, 5, trials=3, seed=0)):
+            with pytest.raises(InputError, match="state must be a label or an integer index"):
+                call()
 
 
 class TestNumpyIntegerArguments:
@@ -991,12 +1003,14 @@ class TestMonteCarlo:
 
 
 class TestNStageValueOncePerGame:
+    """The certificates read v_n from the rows the backward induction keeps on the game."""
+
     @pytest.fixture
     def solves(self, monkeypatch):
-        """The (game, horizon) of every finite_values call the certificates make."""
+        """The (game, horizon) of every backward induction run."""
         calls = []
-        real = evaluation.finite_values
-        monkeypatch.setattr(evaluation, "finite_values", lambda g, n: calls.append((g, n)) or real(g, n))
+        real = shapley._backward_induction
+        monkeypatch.setattr(shapley, "_backward_induction", lambda g, n: calls.append((g, n)) or real(g, n))
         return calls
 
     @staticmethod
@@ -1018,11 +1032,40 @@ class TestNStageValueOncePerGame:
         assert solves == [(game, 30)]
 
     def test_other_horizon_solves_again(self, solves):
-        game = random_game(4, 2, 3, seed=1).game
+        game = big_match().game  # its span never closes
         x, y = random_profile(game, 2)
-        certify_epsilon_optimality(game, (x, y), 30)
         certify_epsilon_optimality(game, (x, y), 20)
-        assert solves == [(game, 30), (game, 20)]
+        certify_epsilon_optimality(game, (x, y), 30)
+        certify_epsilon_optimality(game, (x, y), 25)
+        assert solves == [(game, 20), (game, 30)]
+
+    def test_closed_span_serves_every_horizon(self, solves):
+        game = random_game(4, 2, 3, seed=1).game  # the span closes at r = 64
+        x, y = random_profile(game, 2)
+        horizons = (100, 20, 5000)
+        got = [certify_epsilon_optimality(game, (x, y), n) for n in horizons]
+        assert solves == [(game, 100)]
+        twins = [StochasticGame(game.states, game.actions1, game.actions2, game.payoff, game.transition)
+                 for _ in horizons]  # a fresh solve per horizon
+        assert got == [certify_epsilon_optimality(twin, (x, y), n) for twin, n in zip(twins, horizons)]
+        assert solves[1:] == list(zip(twins, horizons))
+
+    def test_values_then_certificate_run_one_induction(self, solves):
+        game = big_match().game
+        table = finite_values(game, 400)
+        x, y = random_profile(game, 3)
+        epsilon = certify_epsilon_optimality(game, (x, y), 400)
+        assert solves == [(game, 400)]
+        assert epsilon == self.expected_certificates(game, x, y, 400)[1]
+        assert table.tobytes() == finite_values(big_match().game, 400).tobytes()
+
+    def test_long_horizon_certificates_run_one_induction(self, solves):
+        game = random_game(40, 2, 2, seed=11).game
+        sol = discounted_value(game, 1e-3)
+        guaranteed_value(game, sol.x, 5000)
+        certify_epsilon_optimality(game, (sol.x, sol.y), 5000)
+        assert solves == [(game, 5000)]
+        assert len(game._n_stage_cache[0]) <= 64
 
     def test_equal_game_object_solves_again(self, solves):
         game = random_game(4, 2, 3, seed=1).game
@@ -1049,12 +1092,12 @@ class TestNStageValueOncePerGame:
             del game
         assert len(set(ids)) < len(ids)
 
-    def test_stored_value_is_a_read_only_state_vector(self):
+    def test_kept_rows_are_read_only(self):
         game = random_game(5, 2, 2, seed=4).game
-        v_n = evaluation._n_stage_value(game, 30)
-        assert v_n.shape == (game.num_states,)
-        assert not v_n.flags.writeable
-        np.testing.assert_array_equal(v_n, finite_values(game, 30)[-1])
-        assert evaluation._n_stage_value(game, 30) is v_n
+        x, y = random_profile(game, 5)
+        certify_epsilon_optimality(game, (x, y), 30)
+        rows, _ = game._n_stage_cache
+        assert not rows.flags.writeable
+        np.testing.assert_array_equal(rows, finite_values(game, len(rows)))
         with pytest.raises(ValueError):
-            v_n[0] = 0.0
+            rows[-1, 0] = 0.0

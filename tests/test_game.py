@@ -79,6 +79,23 @@ class TestConstruction:
         assert np.abs(entry.game.payoff).max() == entry.game.max_abs_payoff
 
 
+class TestStateIndex:
+    """A state is a label or an integer index; ``bool`` is an ``int``, but ``True`` is no state."""
+
+    @pytest.mark.parametrize("state", [True, False, np.True_, np.False_])
+    def test_bool_rejected(self, state):
+        game = random_game(3, 2, 2, seed=5).game
+        with pytest.raises(InputError, match="state must be a label or an integer index"):
+            game.state_index(state)
+        with pytest.raises(InputError, match="state must be a label or an integer index"):
+            point_mass(game, state)
+
+    @pytest.mark.parametrize("state", [1, np.int64(1), "s1"])
+    def test_label_or_integer(self, state):
+        game = random_game(3, 2, 2, seed=5).game
+        assert game.state_index(state) == 1 and type(game.state_index(state)) is int
+
+
 class TestFileFormat:
     def test_corpus_file_round_trips(self, big_match_entry, games_dir):
         game = load_game_file(games_dir / "big_match.json")

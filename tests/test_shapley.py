@@ -7,6 +7,7 @@ from stochgame import (
     ConvergenceError,
     InputError,
     MarkovStrategy,
+    StationaryStrategy,
     StochasticGame,
     certify_epsilon_optimality,
     discounted_value,
@@ -186,6 +187,16 @@ class TestDiscountedValue:
         for bad in (0.0, -0.1, 1.1):
             with pytest.raises(InputError):
                 discounted_value(game, bad)
+
+    @pytest.mark.parametrize("cap", [True, np.True_, 2.5, 3.0, 0, -1])
+    def test_max_iterations_must_be_a_positive_integer(self, cap):
+        with pytest.raises(InputError, match="max_iterations must be a positive integer"):
+            discounted_value(big_match().game, 0.01, tol=1e-10, max_iterations=cap)
+
+    def test_numpy_integer_max_iterations_is_its_int(self):
+        with pytest.raises(ConvergenceError) as info:
+            discounted_value(big_match().game, 0.01, tol=1e-10, max_iterations=np.int64(3))
+        assert info.value.iterations == 3
 
     @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1e-8])
     def test_tol_must_be_positive_and_finite(self, tol):
@@ -452,7 +463,9 @@ class TestExactReference:
 
 
 class TestNStageTable:
-    """finite_value leaves its values table on the game; finite_values reads it."""
+    """Every backward induction keeps the rows it solved on the game, and the midpoint of the
+    increments if their span closed; finite_values, finite_value's values and the certificates
+    read them, and solve only when the kept rows neither closed nor cover the horizon."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -464,7 +477,7 @@ class TestNStageTable:
 
     @pytest.fixture
     def game(self):
-        return random_game(8, 6, 6, seed=3).game
+        return random_game(8, 6, 6, seed=3).game  # the span closes at r = 16
 
     def test_value_certificate_and_values_run_one_induction(self, game, solves):
         sol = finite_value(game, 150)
@@ -483,21 +496,41 @@ class TestNStageTable:
         assert len(solves) == 2
         assert got.shape == fresh.shape and got.tobytes() == fresh.tobytes()
 
-    def test_longer_horizon_solves_again(self, game, solves):
+    @pytest.mark.parametrize("horizon", [17, 400, 5000])
+    def test_closed_prefix_serves_a_longer_horizon(self, game, solves, horizon):
+        finite_values(game, 20)
+        got, sol = finite_values(game, horizon), finite_value(game, horizon)
+        assert solves == [(game, 20), (game, horizon)]  # the second is finite_value's, for its strategies
+        twin = twin_of(game)
+        fresh = finite_value(twin, horizon)
+        assert got.tobytes() == sol.values.tobytes() == fresh.values.tobytes()
+        assert sol.x_strategies == fresh.x_strategies and sol.y_strategies == fresh.y_strategies
+
+    def test_kept_rows_stop_at_the_close(self, solves):
+        game = random_game(40, 2, 2, seed=1).game
+        finite_values(game, 5000)
+        rows, mid = game._n_stage_cache
+        assert len(rows) <= 64 and mid is not None and not rows.flags.writeable
+        assert solves == [(game, 5000)]
+
+    def test_longer_horizon_solves_again(self, solves):
+        game = big_match().game  # its span never closes
         short = finite_value(game, 150).values
         long = finite_values(game, 200)
         assert solves == [(game, 150), (game, 200)]
         assert long[:150].tobytes() == short.tobytes()
 
-    def test_only_the_longest_table_is_kept(self, game, solves):
+    def test_only_the_longest_table_is_kept(self, solves):
+        game = big_match().game
         finite_value(game, 150)
         finite_value(game, 50)
         finite_values(game, 150)
         finite_value(game, 200)
         finite_values(game, 200)
         assert solves == [(game, 150), (game, 50), (game, 200)]
-        assert game._n_stage_table.shape == (200, game.num_states)
-        assert not game._n_stage_table.flags.writeable
+        rows, mid = game._n_stage_cache
+        assert rows.shape == (200, game.num_states) and mid is None
+        assert not rows.flags.writeable
 
     def test_returned_tables_are_writable_copies(self, game):
         sol = finite_value(game, 150)
@@ -507,12 +540,13 @@ class TestNStageTable:
         sol.values[:] = 0.0
         assert finite_values(game, 100).tobytes() == expected.tobytes()
 
-    def test_certificates_alone_keep_no_table(self, game, solves):
+    def test_certificates_solve_once_and_keep_the_rows_solved(self, game, solves):
         sol = discounted_value(game, 0.1)
         guaranteed_value(game, sol.x, 40)
         certify_epsilon_optimality(game, (sol.x, sol.y), 40)
         assert solves == [(game, 40)]
-        assert len(game._n_stage_table) == 0
+        rows, mid = game._n_stage_cache
+        assert rows.shape == (16, game.num_states) and mid is not None
 
     def test_twin_game_solves_again(self, game, solves):
         finite_value(game, 150)
@@ -536,7 +570,22 @@ class TestNonFiniteResults:
     def test_finite_value(self, huge):
         with np.errstate(all="ignore"), pytest.raises(InputError, match="not finite"):
             finite_value(huge, 3)
-        assert len(huge._n_stage_table) == 0
+
+    @pytest.mark.parametrize("first, second", [(finite_values, finite_values), (finite_value, finite_value),
+                                               (finite_value, finite_values), (finite_values, finite_value)])
+    def test_raises_again_on_a_second_call(self, huge, first, second):
+        for solve in (first, second):
+            with np.errstate(all="ignore"), pytest.raises(InputError, match="not finite"):
+                solve(huge, 3)
+
+    def test_certificates_raise_again(self, huge):
+        x = StationaryStrategy.uniform(huge.num_states, huge.num_actions1)
+        y = StationaryStrategy.uniform(huge.num_states, huge.num_actions2)
+        for _ in range(2):
+            with np.errstate(all="ignore"), pytest.raises(InputError, match="not finite"):
+                certify_epsilon_optimality(huge, (x, y), 3)
+            with np.errstate(all="ignore"), pytest.raises(InputError, match="not finite"):
+                guaranteed_value(huge, x, 3)
 
     def test_shapley_operator(self, huge):
         with np.errstate(all="ignore"), pytest.raises(InputError, match="not finite"):
